@@ -44,18 +44,13 @@ def _emit(report: dict, pretty_lines: list[str], pretty: bool) -> None:
 
 def _config_from_args(args) -> RunConfig:
     kwargs = {"domain": DomainSpec.parse(args.domain), "seed": args.seed}
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.mc_samples is not None:
-        kwargs["mc_samples"] = args.mc_samples
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    if args.pitch is not None:
-        kwargs["pitch"] = args.pitch
-    if args.alpha_grid is not None:
-        kwargs["alpha_grid"] = args.alpha_grid
-    if args.r_grid is not None:
-        kwargs["r_grid"] = tuple(float(x) for x in args.r_grid.split(","))
+    for name in ("samples", "mc_samples", "n_max", "pitch", "alpha_grid"):
+        value = getattr(args, name, None)
+        if value is not None:
+            kwargs[name] = value
+    r_grid = getattr(args, "r_grid", None)
+    if r_grid is not None:
+        kwargs["r_grid"] = tuple(float(x) for x in r_grid.split(","))
     return RunConfig(**kwargs).with_env_seed()
 
 
@@ -68,7 +63,6 @@ def cmd_classify(args) -> int:
         seed=cfg.seed,
         delta=cfg.delta,
         pitch=cfg.pitch,
-        threads=args.threads,
         with_certificate=not args.no_certificate,
         mc_samples=cfg.mc_samples,
         n_max=cfg.n_max,
@@ -194,18 +188,23 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+# settings flags; each subcommand registers only the ones it reads
+_SETTINGS = {
+    "--samples": {"type": int},
+    "--mc-samples": {"type": int},
+    "--n-max": {"type": int},
+    "--pitch": {"type": float},
+    "--alpha-grid": {"type": int},
+    "--r-grid": {"help": "comma-separated dilation radii in (1/2, 1)"},
+}
+
+
+def _add_common(sp: argparse.ArgumentParser, *settings: str) -> None:
     sp.add_argument("--domain", default="ball", help='"ball", or "p,q" decimals')
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--pretty", action="store_true", help="summary table on stderr")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--pitch", type=float, default=None)
-    sp.add_argument("--alpha-grid", dest="alpha_grid", type=int, default=None)
-    sp.add_argument("--r-grid", dest="r_grid", default=None,
-                    help="comma-separated dilation radii in (1/2, 1)")
+    for flag in settings:
+        sp.add_argument(flag, **_SETTINGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,19 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ideal", required=True, help="ideal or polynomial JSON file")
     sp.add_argument("--no-certificate", action="store_true",
                     help="skip the density certificate on DENSE verdicts")
-    _add_common(sp)
+    _add_common(sp, "--pitch", "--mc-samples", "--n-max")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("density", help="projection/dilation density certificate")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--witness", default=None,
                     help="known zero inside the domain: re1,im1,re2,im2")
-    _add_common(sp)
+    _add_common(sp, "--mc-samples", "--n-max", "--r-grid")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("ratio", help="dilation ratio bound check |p(z)/p(rz)|")
     sp.add_argument("--poly", required=True)
-    _add_common(sp)
+    _add_common(sp, "--samples", "--r-grid")
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("decompose", help="irreducible components of the zero set")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", required=True)
     sp.add_argument("--ratio", action="store_true",
                     help="also sample the one-variable ball dilation ratio")
-    _add_common(sp)
+    _add_common(sp, "--alpha-grid", "--samples", "--r-grid")
     sp.set_defaults(func=cmd_hopf)
 
     sp = sub.add_parser("norms", help="monomial squared-norm table")

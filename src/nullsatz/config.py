@@ -5,35 +5,35 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .bergman import R_GRID_DEFAULT, DomainSpec
+from .bergman import MC_SAMPLES, N_MAX, R_GRID_DEFAULT, RATIO_SAMPLES, DomainSpec
+from .hopf import ALPHA_GRID, TOL_CIRCLE
+from .nullsatz import DELTA, GRID_PITCH
 
 ENV_SEED = "NULLSATZ_SEED"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob a run depends on; serialized verbatim into reports.
+    """Validated bundle of the settings a run reads; serialized into reports.
 
     Identical configs and inputs must reproduce byte-identical reports, so
-    nothing here may be derived from wall clock, process state, or thread
-    count.
+    nothing here may be derived from wall clock or process state.  Each
+    default is the module constant the library itself uses.
     """
 
     domain: DomainSpec = field(default_factory=DomainSpec.ball)
     seed: int = 0
-    tol_res: float = 1e-10
-    tol_point: float = 1e-8
-    tol_circle: float = 1e-6
-    delta: float = 1e-6
-    samples: int = 20000
-    mc_samples: int = 100000
+    tol_circle: float = TOL_CIRCLE
+    delta: float = DELTA
+    samples: int = RATIO_SAMPLES
+    mc_samples: int = MC_SAMPLES
     r_grid: tuple[float, ...] = R_GRID_DEFAULT
-    n_max: int = 20
-    alpha_grid: int = 4096
-    pitch: float = 0.01
+    n_max: int = N_MAX
+    alpha_grid: int = ALPHA_GRID
+    pitch: float = GRID_PITCH
 
     def __post_init__(self):
-        for name in ("tol_res", "tol_point", "tol_circle", "delta", "pitch"):
+        for name in ("tol_circle", "delta", "pitch"):
             v = getattr(self, name)
             if not (isinstance(v, float) and v > 0.0):
                 raise ValueError(f"{name} must be a positive float, got {v!r}")
@@ -66,8 +66,6 @@ class RunConfig:
         return {
             "domain": self.domain.to_json_dict(),
             "seed": self.seed,
-            "tol_res": self.tol_res,
-            "tol_point": self.tol_point,
             "tol_circle": self.tol_circle,
             "delta": self.delta,
             "samples": self.samples,

@@ -32,8 +32,11 @@ from .polyalg import (
 )
 from .rootfind import (
     FiberPoly,
+    RootFindError,
     RootSet,
     TrackError,
+    _horner,
+    _UnionFind,
     all_roots,
     loop_samples,
     segment_samples,
@@ -73,13 +76,7 @@ class CurveComponent:
         z1 = np.asarray(z1, dtype=np.complex128)
         z2 = np.asarray(z2, dtype=np.complex128)
         C = self.defining
-        out = np.zeros(np.broadcast(z1, z2).shape, dtype=np.complex128)
-        for b in range(C.shape[1] - 1, -1, -1):
-            inner = np.zeros_like(out)
-            for a in range(C.shape[0] - 1, -1, -1):
-                inner = inner * z1 + C[a, b]
-            out = out * z2 + inner
-        return out
+        return _horner([_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,13 +140,17 @@ def _distinct_roots(u: UniPoly) -> list[complex]:
 
     Multiple roots (discriminants and resultants are full of them) scatter
     numerically as tol**(1/multiplicity); dividing out gcd(u, u') first
-    keeps every root simple and accurate.
+    keeps every root simple and accurate.  A root solve that does not
+    converge raises DecomposeError.
     """
     if u.degree >= 2:
         g = unipoly_gcd(u, u.deriv())
         if g.degree >= 1:
             u = u.exact_div(g)
-    rs = all_roots(u)
+    try:
+        rs = all_roots(u)
+    except RootFindError as exc:
+        raise DecomposeError(f"root solve failed: {exc}") from exc
     out: list[complex] = []
     for r in rs.roots:
         if all(abs(r - o) > POINT_CLUSTER for o in out):
@@ -179,28 +180,6 @@ def _vertical_components(parent: BiPoly, cont: UniPoly) -> list[CurveComponent]:
             )
         )
     return comps
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def groups(self) -> list[tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
 def _branch_candidates(pp: BiPoly) -> list[complex]:
@@ -563,8 +542,10 @@ def decompose_ideal(
     else:
         residual = list(gens)
 
+    # a constant cofactor puts g itself in the ideal, so V(I) = V(g) has no
+    # isolated points
     points: list[IsolatedPoint] = []
-    if len(gens) >= 2 and len(residual) >= 2:
+    if len(residual) == len(gens) >= 2:
         points = zero_dim_solve(residual, tol_point=tol_point)
         if not g.is_constant:
             gscale = _coeff_scale(g)

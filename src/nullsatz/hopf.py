@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import DENOM_FLOOR, DomainSpec, eval_grid, sample_closure
+from .bergman import (
+    DENOM_FLOOR,
+    R_GRID_DEFAULT,
+    RATIO_SAMPLES,
+    DomainSpec,
+    eval_grid,
+    sample_closure,
+)
 from .polyalg import BiPoly, poly_to_json
 
 TOL_CIRCLE = 1e-6
 ALPHA_GRID = 4096
 MAX_TRIALS = 512
-R_GRID_BALL = (0.51, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -260,8 +266,8 @@ class BallRatioReport:
 
 def ball_ratio_sup(
     f: BiPoly,
-    r_grid: tuple[float, ...] = R_GRID_BALL,
-    samples: int = 20000,
+    r_grid: tuple[float, ...] = R_GRID_DEFAULT,
+    samples: int = RATIO_SAMPLES,
     seed: int = 0,
 ) -> BallRatioReport:
     """Empirical constant for the one-variable dilation ratio on the ball.

@@ -10,15 +10,20 @@ INCONCLUSIVE rather than a guessed verdict.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
-from .bergman import DensityCertificate, DomainSpec, density_certificate
+from .bergman import (
+    MC_SAMPLES,
+    N_MAX,
+    DensityCertificate,
+    DomainSpec,
+    density_certificate,
+)
 from .decompose import (
+    TOL_POINT,
     CurveComponent,
     DecomposeError,
     IsolatedPoint,
@@ -38,7 +43,6 @@ NEITHER = "NEITHER"
 
 DELTA = 1e-6
 GRID_PITCH = 0.01
-TOL_POINT = 1e-8
 ONCOMP_TOL = 1e-6
 
 
@@ -129,28 +133,6 @@ def intersect_point(
     )
 
 
-class _CoeffFiber:
-    """Fiber view of an interpolated (float) coefficient matrix C[a, b]."""
-
-    def __init__(self, C: np.ndarray):
-        self._C = np.asarray(C, dtype=np.complex128)
-        self.deg2 = self._C.shape[1] - 1
-
-    def coeff_rows(self, z1) -> np.ndarray:
-        z1 = np.asarray(z1, dtype=np.complex128).ravel()
-        out = np.empty((z1.size, self.deg2 + 1), dtype=np.complex128)
-        for b in range(self.deg2 + 1):
-            col = self._C[:, b]
-            acc = np.full_like(z1, col[-1])
-            for c in col[-2::-1]:
-                acc = acc * z1 + c
-            out[:, b] = acc
-        return out
-
-    def coeffs_at(self, z1: complex) -> np.ndarray:
-        return self.coeff_rows(np.array([z1]))[0]
-
-
 def _disk_grid(pitch: float) -> np.ndarray:
     n = int(round(2.0 / pitch)) + 1
     ax = np.linspace(-1.0, 1.0, n)
@@ -159,7 +141,7 @@ def _disk_grid(pitch: float) -> np.ndarray:
     return Z[np.abs(Z) <= 1.0 + 1e-12]
 
 
-def _sheet_phis(fiber: _CoeffFiber, domain: DomainSpec, z1s: np.ndarray):
+def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
     """Min gauge value over the component's sheets above each z1 sample."""
     roots, conv = solve_fibers(fiber, z1s)
     best_phi = np.inf
@@ -202,7 +184,7 @@ def _continuation_check(
     matters: at an exact branch point the sheets coincide and direct
     tracking cannot terminate.
     """
-    fiber = _CoeffFiber(comp.defining)
+    fiber = FiberPoly(comp.defining)
     local = 1.0 + float(np.abs(fiber.coeffs_at(z1)).max()) * (1.0 + abs(z2)) ** fiber.deg2
     if abs(comp.eval_defining(z1, z2)) > ONCOMP_TOL * local:
         return False
@@ -252,7 +234,7 @@ def intersect_curve(
             trace={"method": "vertical-closed-form", "delta": delta},
         )
 
-    fiber = _CoeffFiber(comp.defining)
+    fiber = FiberPoly(comp.defining)
     grid = _disk_grid(pitch)
     best_phi, best = _sheet_phis(fiber, domain, grid)
     trace = {
@@ -342,10 +324,9 @@ def classify(
     seed: int = 0,
     delta: float = DELTA,
     pitch: float = GRID_PITCH,
-    threads: int | None = None,
     with_certificate: bool = True,
-    mc_samples: int = 100000,
-    n_max: int = 20,
+    mc_samples: int = MC_SAMPLES,
+    n_max: int = N_MAX,
 ) -> ClosureVerdict:
     """Full pipeline: decompose the variety, test every component, aggregate.
 
@@ -374,23 +355,11 @@ def classify(
             trace=base_trace,
         )
 
-    tasks = [
-        (lambda c=c: intersect_curve(c, domain, delta=delta, pitch=pitch))
-        for c in dec.curve_components
-    ] + [
-        (lambda p=p: intersect_point(p, domain, delta=delta))
-        for p in dec.points
-    ]
-
-    if tasks:
-        workers = threads or min(8, os.cpu_count() or 1, len(tasks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = tuple(pool.map(lambda t: t(), tasks))
-        else:
-            results = tuple(t() for t in tasks)
-    else:
-        results = ()
+    results = tuple(
+        [intersect_curve(c, domain, delta=delta, pitch=pitch)
+         for c in dec.curve_components]
+        + [intersect_point(p, domain, delta=delta) for p in dec.points]
+    )
 
     overall, justification = aggregate_verdicts([r.verdict for r in results])
 

@@ -49,12 +49,39 @@ def _as_coeff_array(f) -> np.ndarray:
     return a
 
 
-def _polyval_batch(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner evaluation; coeffs (B, n+1) ascending, x (B, m) -> (B, m)."""
-    acc = np.zeros_like(x)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * x + coeffs[:, k, None]
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """Horner evaluation: ascending coefficients on axis 0, broadcast against x.
+
+    coeffs[k] multiplies x**k; each coeffs[k] broadcasts against x, so a
+    (n+1, B, 1) stack evaluates B polynomials at (B, m) points and a
+    (n+1, k, 1) stack evaluates k polynomials at (m,) points.
+    """
+    acc = coeffs[-1] + 0 * x
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
     return acc
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def groups(self) -> list[tuple[int, ...]]:
+        out: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
 def _aberth_batch(
@@ -75,10 +102,12 @@ def _aberth_batch(
     scale = 1.0 + np.max(np.abs(coeffs), axis=1)
 
     dcoeffs = mono[:, 1:] * np.arange(1, n1)
+    # power on axis 0, one polynomial per row of x
+    P, dP = mono.T[:, :, None], dcoeffs.T[:, :, None]
 
     if n == 1:
         roots = (-mono[:, 0])[:, None]
-        res = np.abs(_polyval_batch(coeffs, roots))
+        res = np.abs(_horner(coeffs.T[:, :, None], roots))
         return roots, res, np.ones_like(res, dtype=bool)
 
     cauchy = 1.0 + np.max(np.abs(mono[:, :-1]), axis=1)
@@ -89,8 +118,8 @@ def _aberth_batch(
     done = np.zeros((B, n), dtype=bool)
     for attempt in range(3):
         for _ in range(max_sweeps):
-            p = _polyval_batch(mono, x)
-            dp = _polyval_batch(dcoeffs, x)
+            p = _horner(P, x)
+            dp = _horner(dP, x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = p / dp
                 diff = x[:, :, None] - x[:, None, :]
@@ -103,7 +132,7 @@ def _aberth_batch(
                 w = np.where(bad, 1e-6 * (1.0 + np.abs(x)) * np.exp(0.91j), w)
             w = np.where(done, 0.0, w)
             x = x - w
-            presid = np.abs(_polyval_batch(mono, x)) * np.abs(lead)[:, None]
+            presid = np.abs(_horner(P, x)) * np.abs(lead)[:, None]
             small_step = np.abs(w) <= 1e-15 * (1.0 + np.abs(x))
             done = done | (presid <= tol_res * scale[:, None]) | small_step
             if done.all():
@@ -120,10 +149,10 @@ def _aberth_batch(
     # multiplicity; sharpens both simple and multiple roots to noise floor
     ddcoeffs = dcoeffs[:, 1:] * np.arange(1, n) if n >= 2 else None
     for _ in range(3):
-        p = _polyval_batch(mono, x)
-        dp = _polyval_batch(dcoeffs, x)
+        p = _horner(P, x)
+        dp = _horner(dP, x)
         if ddcoeffs is not None and ddcoeffs.shape[1] > 0:
-            ddp = _polyval_batch(ddcoeffs, x)
+            ddp = _horner(ddcoeffs.T[:, :, None], x)
         else:
             ddp = np.zeros_like(x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -133,7 +162,7 @@ def _aberth_batch(
         )
         x = x - np.where(ok_step, step, 0.0)
 
-    residuals = np.abs(_polyval_batch(coeffs, x))
+    residuals = np.abs(_horner(coeffs.T[:, :, None], x))
     order = np.lexsort((x.imag, x.real), axis=1)
     idx = np.arange(B)[:, None]
     return x[idx, order], residuals[idx, order], done[idx, order]
@@ -142,29 +171,19 @@ def _aberth_batch(
 def _cluster(roots: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Merge roots closer than CLUSTER_RADIUS (single linkage) to centroids."""
     n = roots.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
             if abs(roots[i] - roots[j]) <= CLUSTER_RADIUS:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+                uf.union(i, j)
     out = roots.copy()
     clusters = []
-    for members in groups.values():
+    for members in uf.groups():
         if len(members) > 1:
-            centroid = np.mean(roots[members])
+            centroid = np.mean(roots[list(members)])
             for m in members:
                 out[m] = centroid
-            clusters.append(tuple(members))
+            clusters.append(members)
     order = np.lexsort((out.imag, out.real))
     remap = {old: new for new, old in enumerate(order)}
     clusters = [tuple(sorted(remap[m] for m in members)) for members in clusters]
@@ -214,7 +233,7 @@ def all_roots(
             res[0],
         )
     clustered, clusters = _cluster(roots[0])
-    resid = np.abs(_polyval_batch(a[None, :], clustered[None, :])[0])
+    resid = np.abs(_horner(a, clustered))
     return RootSet(
         roots=tuple(clustered.tolist()),
         residuals=tuple(resid.tolist()),
@@ -229,24 +248,24 @@ def all_roots(
 
 
 class FiberPoly:
-    """f(z1, z2) viewed as a z2-polynomial with z1-dependent coefficients."""
+    """f(z1, z2) viewed as a z2-polynomial with z1-dependent coefficients.
 
-    def __init__(self, f: BiPoly):
-        if f.is_zero:
-            raise ValueError("fiber of the zero polynomial")
-        self._rows = [u.to_complex() for u in f.z2_coeffs()]
-        self.deg2 = len(self._rows) - 1
+    f is a BiPoly or a float coefficient matrix C with C[a, b] multiplying
+    z1^a z2^b (the interpolated defining polynomial of a curve component).
+    """
+
+    def __init__(self, f: BiPoly | np.ndarray):
+        if isinstance(f, BiPoly):
+            if f.is_zero:
+                raise ValueError("fiber of the zero polynomial")
+            f = f.coeff_matrix()
+        self._C = np.asarray(f, dtype=np.complex128)
+        self.deg2 = self._C.shape[1] - 1
 
     def coeff_rows(self, z1: np.ndarray) -> np.ndarray:
         """Ascending z2-coefficients at each z1; shape (B, deg2+1)."""
         z1 = np.asarray(z1, dtype=np.complex128).ravel()
-        out = np.empty((z1.size, self.deg2 + 1), dtype=np.complex128)
-        for b, row in enumerate(self._rows):
-            acc = np.full_like(z1, row[-1])
-            for c in row[-2::-1]:
-                acc = acc * z1 + c
-            out[:, b] = acc
-        return out
+        return _horner(self._C[:, :, None], z1).T
 
     def coeffs_at(self, z1: complex) -> np.ndarray:
         return self.coeff_rows(np.array([z1]))[0]

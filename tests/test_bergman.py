@@ -42,6 +42,7 @@ from nullsatz.bergman import (
     volume,
 )
 from nullsatz.polyalg import BiPoly, GaussRational
+from nullsatz.rootfind import FiberPoly, _horner
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -129,24 +130,24 @@ class TestMonomialNorm:
 
 class TestNormTable:
     def test_build_and_lookup(self):
-        t = MonomialNormTable.build(BALL, 6)
+        t = MonomialNormTable(BALL, 6)
         assert t.norm(0, 0) == pytest.approx(math.pi**2 / 2, rel=1e-12)
         assert t.norm(3, 3) == pytest.approx(monomial_norm(BALL, 3, 3), rel=1e-12)
 
     def test_missing_entry_names_exponent(self):
-        t = MonomialNormTable.build(BALL, 2)
+        t = MonomialNormTable(BALL, 2)
         with pytest.raises(MissingNormError, match=r"\(3, 1\)"):
             t.norm(3, 1)
 
     def test_covers(self):
-        t = MonomialNormTable.build(BALL, 3)
+        t = MonomialNormTable(BALL, 3)
         assert t.covers(Z1 * Z2 + 1)
         assert not t.covers(Z1**3 * Z2)
 
 
 class TestInner:
     def test_distinct_monomials_orthogonal(self):
-        t = MonomialNormTable.build(BALL, 8)
+        t = MonomialNormTable(BALL, 8)
         rng = random.Random(8)
         for _ in range(30):
             a, b = rng.randint(0, 4), rng.randint(0, 4)
@@ -158,28 +159,28 @@ class TestInner:
             assert inner(m1, m2, t) == 0
 
     def test_one_vs_z1(self):
-        t = MonomialNormTable.build(BALL, 2)
+        t = MonomialNormTable(BALL, 2)
         assert inner(BiPoly.constant(1), Z1, t) == 0
 
     def test_z1_self(self):
-        t = MonomialNormTable.build(BALL, 2)
+        t = MonomialNormTable(BALL, 2)
         assert inner(Z1, Z1, t).real == pytest.approx(math.pi**2 / 6, rel=1e-12)
 
     def test_bilinear_combination(self):
-        t = MonomialNormTable.build(BALL, 2)
+        t = MonomialNormTable(BALL, 2)
         v = inner(1 + Z1, 1 - Z1, t)
         assert v.real == pytest.approx(math.pi**2 / 2 - math.pi**2 / 6, rel=1e-12)
         assert v.imag == 0
 
     def test_hermitian_symmetry(self):
-        t = MonomialNormTable.build(BALL, 4)
+        t = MonomialNormTable(BALL, 4)
         i = GaussRational(0, 1)
         f = Z1 + i * Z2
         g = 2 * Z1 * Z2 - i
         assert inner(f, g, t) == pytest.approx(inner(g, f, t).conjugate())
 
     def test_norm_sq_positive(self):
-        t = MonomialNormTable.build(BALL, 4)
+        t = MonomialNormTable(BALL, 4)
         f = Z1 - 2 * Z2 + 1
         assert norm_sq(f, t) > 0
 
@@ -217,23 +218,23 @@ class TestKernelDiag:
 
 class TestProjectionDistance:
     def test_unit_poly_reaches_zero(self):
-        t = MonomialNormTable.build(BALL, 4)
+        t = MonomialNormTable(BALL, 4)
         assert projection_distance(BiPoly.constant(1), 0, t) == pytest.approx(0.0, abs=1e-12)
 
     def test_z1_distance_is_norm_of_one(self):
-        t = MonomialNormTable.build(BALL, 30)
+        t = MonomialNormTable(BALL, 30)
         for N in (0, 3, 10):
             d = projection_distance(Z1, N, t)
             assert d == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
 
     def test_z1_minus_two_hand_value(self):
         # minimize ||1 - c(z1-2)||: c = -6/13, distance sqrt(pi^2/26)
-        t = MonomialNormTable.build(BALL, 4)
+        t = MonomialNormTable(BALL, 4)
         d = projection_distance(Z1 - 2, 0, t)
         assert d == pytest.approx(math.sqrt(math.pi**2 / 26), abs=1e-9)
 
     def test_monotone_in_N(self):
-        t = MonomialNormTable.build(BALL, 40)
+        t = MonomialNormTable(BALL, 40)
         rng = random.Random(17)
         for _ in range(5):
             f = BiPoly(
@@ -254,14 +255,14 @@ class TestProjectionDistance:
 
     def test_kernel_bound_invariant(self):
         # p vanishes at (1/2, 0) inside the ball: no N can beat the bound
-        t = MonomialNormTable.build(BALL, 40)
+        t = MonomialNormTable(BALL, 40)
         p = 2 * Z1 - 1
         bound = kernel_lower_bound(BALL, (0.5, 0))
         for N in (0, 2, 5, 9):
             assert projection_distance(p, N, t) >= bound - 1e-9
 
     def test_rejects_zero_poly(self):
-        t = MonomialNormTable.build(BALL, 2)
+        t = MonomialNormTable(BALL, 2)
         with pytest.raises(ValueError):
             projection_distance(BiPoly.zero(), 0, t)
 
@@ -275,6 +276,17 @@ class TestSampling:
         vals = eval_grid(f, z1, z2)
         for i in range(20):
             assert abs(vals[i] - f.eval(complex(z1[i]), complex(z2[i]))) < 1e-12
+        # the shared Horner helper on the layouts of FiberPoly (z1 powers on
+        # axis 0, one column per z2 power) and _aberth_batch (one polynomial
+        # per row of a (B, m) point array)
+        rows = FiberPoly(f).coeff_rows(z1)
+        w = z2[:, None] * np.array([1.0, 0.5j, -0.7])
+        batch = _horner(rows.T[:, :, None], w)
+        assert batch.shape == (20, 3)
+        for i in range(20):
+            for j in range(3):
+                want = f.eval(complex(z1[i]), complex(w[i, j]))
+                assert abs(batch[i, j] - want) < 1e-12
 
     def test_closure_points_stay_in_closure(self):
         for dom in (BALL, SIMPLEX, DomainSpec(0.5, 3.0)):

@@ -157,6 +157,22 @@ class TestErrorPaths:
         assert code == 10
         assert "error" in err
 
+    def test_flags_only_where_read(self, tmp_path):
+        path = write_poly(tmp_path, "p.json", Z1 - 2)
+        for argv in (
+            ["classify", "--ideal", path, "--r-grid", "0.9"],
+            ["norms", "--max-degree", "2", "--threads", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_root_find_failure_exits_ten(self, capsys, tmp_path):
+        path = write_poly(tmp_path, "p.json", Z2**6 + Z1**5 * Z2 + Z1**5 - 10)
+        code, _, err = run(capsys, "decompose", "--poly", path)
+        assert code == 10
+        assert "root solve failed" in err
+
     def test_env_seed_override(self, capsys, monkeypatch, tmp_path):
         path = write_poly(tmp_path, "p.json", Z2**2 - Z1)
         monkeypatch.setenv("NULLSATZ_SEED", "99")

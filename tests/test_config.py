@@ -15,8 +15,8 @@ class TestValidation:
         assert cfg.seed == 0
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError, match="tol_point"):
-            RunConfig(tol_point=0.0)
+        with pytest.raises(ValueError, match="tol_circle"):
+            RunConfig(tol_circle=0.0)
         with pytest.raises(ValueError, match="delta"):
             RunConfig(delta=-1e-6)
 

@@ -225,6 +225,16 @@ class TestDecomposeIdeal:
         assert dec.curve_components[0].vertical
         assert dec.points == ()
 
+    def test_unit_cofactor_means_no_points(self):
+        # g = z1 - 3 lies in the ideal, so V(I) = V(g) however the other
+        # cofactors meet
+        g = Z1 - 3
+        h1, h2 = Z2 - Fraction(1, 4), Z1 - Fraction(1, 4)
+        dec = decompose_ideal([g * h1, g * h2, g])
+        assert len(dec.curve_components) == 1
+        assert dec.points == ()
+        assert dec.residual_generators == (h1, h2)
+
     def test_point_off_curve_is_kept(self):
         line = 2 * Z1 - 1
         dec = decompose_ideal([line * Z2, line * (Z2 - Z1 + 2)])

@@ -8,7 +8,9 @@ rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 
-and review the diff of tests/golden/ before committing it.
+and review the diff of tests/golden/ before committing it.  The last
+digits of the floats depend on the numpy and scipy builds; the files were
+written with numpy 2.4 and scipy 1.17.
 """
 
 from __future__ import annotations

@@ -203,9 +203,18 @@ class TestClassify:
         assert len(back["components"]) == 2
         assert back["trace"]["pitch"] == 0.01
 
-    def test_single_thread_matches_parallel(self):
-        gens = [(Z2**2 - Z1) * (Z2 - 2), (Z2**2 - Z1) * (Z1 - 3)]
-        a = classify(gens, BALL, threads=1)
-        b = classify(gens, BALL, threads=4)
-        assert a.overall == b.overall == NEITHER
-        assert [r.verdict for r in a.results] == [r.verdict for r in b.results]
+    def test_unit_cofactor_leaves_no_isolated_point(self):
+        # f itself is a generator, so V(I) is the line z1 = 3 alone; the
+        # common zero (1/4, 1/4) of the other cofactors is not in V(I)
+        quarter = Fraction(1, 4)
+        f = Z1 - 3
+        v = classify([f * (Z2 - quarter), f * (Z1 - quarter), f], BALL)
+        assert v.overall == DENSE
+        assert v.decomposition.points == ()
+
+    def test_root_find_failure_becomes_inconclusive(self):
+        # Aberth fails on the degree-30 discriminant of this DENSE curve
+        v = classify([Z2**6 + Z1**5 * Z2 + Z1**5 - 10], BALL, with_certificate=False)
+        assert v.overall in (DENSE, INCONCLUSIVE)
+        if v.overall == INCONCLUSIVE:
+            assert v.justification.startswith("decomposition failed")
