@@ -87,6 +87,16 @@ class DomainSpec:
         """|z1|^p + |z2|^q, the defining gauge; inside iff < 1."""
         return np.abs(z1) ** self.p + np.abs(z2) ** self.q
 
+    def phi_rows(self, z1s, z2s):
+        """phi(z1s[k], z2s[k]) for each row k of a (B, m) array of z2 values.
+
+        Rounds as phi does for one scalar z1: |z1|^p is taken by numpy's
+        scalar power, which differs from its array power in the last bit
+        on some inputs.
+        """
+        t1 = np.fromiter((a ** self.p for a in np.abs(z1s)), np.float64, len(z1s))
+        return t1.reshape(-1, 1) + np.abs(z2s) ** self.q
+
     def contains(self, z1, z2, slack: float = 0.0):
         return self.phi(z1, z2) < 1.0 - slack
 

@@ -142,20 +142,33 @@ def _disk_grid(pitch: float) -> np.ndarray:
 
 
 def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
-    """Min gauge value over the component's sheets above each z1 sample."""
+    """Min gauge value over the component's sheets above each z1 sample.
+
+    Returns (best_phi, best), best = (z1, z2) at the smallest gauge over all
+    converged sheets; ties go to the first sample, then the first sheet.
+    (inf, None) when no sheet converged.
+    """
     roots, conv = solve_fibers(fiber, z1s)
-    best_phi = np.inf
-    best = None
-    for k, z1 in enumerate(z1s):
-        r = roots[k][conv[k]]
-        if r.size == 0:
-            continue
-        phis = domain.phi(z1, r)
-        j = int(np.argmin(phis))
-        if phis[j] < best_phi:
-            best_phi = float(phis[j])
-            best = (complex(z1), complex(r[j]))
-    return best_phi, best
+    sizes = np.array([r.size for r in roots], dtype=np.intp)
+    width = int(sizes.max(initial=0))
+    if width == 0:
+        return np.inf, None
+    # pad the ragged fibers into one (B, width) matrix; padding never converges
+    B = sizes.size
+    filled = np.arange(width) < sizes[:, None]
+    R = np.zeros((B, width), dtype=np.complex128)
+    ok = np.zeros((B, width), dtype=bool)
+    R[filled] = np.concatenate(roots)
+    ok[filled] = np.concatenate(conv)
+    with np.errstate(all="ignore"):
+        phis = np.where(ok, domain.phi_rows(z1s, R), np.inf)
+    j = np.argmin(phis, axis=1)
+    row_min = phis[np.arange(B), j]
+    row_min[~(row_min < np.inf)] = np.inf  # a row whose argmin is NaN never wins
+    k = int(np.argmin(row_min))
+    if not row_min[k] < np.inf:
+        return np.inf, None
+    return float(row_min[k]), (complex(z1s[k]), complex(R[k, j[k]]))
 
 
 def _newton_z2(coeffs: np.ndarray, z2: complex, iters: int = 12) -> complex:
@@ -173,21 +186,24 @@ def _newton_z2(coeffs: np.ndarray, z2: complex, iters: int = 12) -> complex:
     return z2
 
 
+def _on_component(comp: CurveComponent, z1: complex, z2: complex) -> bool:
+    """|defining(z1, z2)| is within ONCOMP_TOL of the local coefficient scale."""
+    fiber = FiberPoly(comp.defining)
+    local = 1.0 + float(np.abs(fiber.coeffs_at(z1)).max()) * (1.0 + abs(z2)) ** fiber.deg2
+    return abs(comp.eval_defining(z1, z2)) <= ONCOMP_TOL * local
+
+
 def _continuation_check(
     comp: CurveComponent, pp: BiPoly, z1: complex, z2: complex
 ) -> bool:
-    """Confirm (z1, z2) sits on this orbit by tracking from the base point.
+    """Confirm an on-component (z1, z2) sits on this orbit by tracking.
 
-    The witness must lie on the component's interpolated sheet family, and
-    that family must agree with true continuation from the base fiber at a
-    regular point next to the witness.  The detour around the witness itself
-    matters: at an exact branch point the sheets coincide and direct
-    tracking cannot terminate.
+    The component's interpolated sheet family must agree with true
+    continuation from the base fiber at a regular point next to the witness.
+    The detour around the witness itself matters: at an exact branch point
+    the sheets coincide and direct tracking cannot terminate.
     """
     fiber = FiberPoly(comp.defining)
-    local = 1.0 + float(np.abs(fiber.coeffs_at(z1)).max()) * (1.0 + abs(z2)) ** fiber.deg2
-    if abs(comp.eval_defining(z1, z2)) > ONCOMP_TOL * local:
-        return False
     fp = FiberPoly(pp)
     for off in (1e-3, 1e-3j, -1e-3, 2e-2):
         target = z1 + off * (1.0 + abs(z1))
@@ -281,19 +297,25 @@ def intersect_curve(
     best_phi = float(domain.phi(z1s, z2s))
     best = (z1s, z2s)
 
+    # at a branch point Newton can jump to a sheet of another factor of pp
+    note = None
     verdict = _band_verdict(best_phi, delta)
-    if verdict == INTERSECTS:
-        ok = _continuation_check(comp, pp, z1s, z2s)
-        if not ok:
-            return IntersectionResult(
-                kind="curve",
-                component=comp,
-                min_phi=best_phi,
-                argmin=best,
-                verdict=INCONCLUSIVE,
-                trace={**trace, "note": "continuation to the argmin failed"},
-            )
-        trace["continuation_verified"] = True
+    if not _on_component(comp, z1s, z2s):
+        note = "polish left the component"
+    elif verdict == INTERSECTS:
+        if _continuation_check(comp, pp, z1s, z2s):
+            trace["continuation_verified"] = True
+        else:
+            note = "continuation to the argmin failed"
+    if note is not None:
+        return IntersectionResult(
+            kind="curve",
+            component=comp,
+            min_phi=best_phi,
+            argmin=best,
+            verdict=INCONCLUSIVE,
+            trace={**trace, "note": note},
+        )
     return IntersectionResult(
         kind="curve",
         component=comp,

@@ -1,11 +1,17 @@
 """Univariate root finding and root-path tracking.
 
 Two numeric workhorses live here: an Aberth–Ehrlich simultaneous iteration
-(single polynomial or vectorized batches of equal degree), and a continuation
-routine that transports the root fiber of f(z1, z2) = 0 in z2 along a path of
-z1 values, matching consecutive fibers by a distance-minimal assignment.  The
-tracker refuses to jump: when the best pairing moves a root more than half the
-minimum root separation, the parameter step is bisected.
+(single polynomial or vectorized batches of equal degree), and a
+predictor–corrector continuation that transports the root fiber of
+f(z1, z2) = 0 in z2 along a path of z1 values.  Each step first tries a warm
+corrector: a few batched Newton steps on every sheet, starting from the
+previous fiber, which keep the rows aligned.  When Newton does not converge,
+or the corrected step breaks the separation rule, the step falls back to a
+cold Aberth solve paired with the previous fiber by a distance-minimal
+assignment.  The tracker refuses to jump: when the pairing moves a root by
+half the minimum root separation or more, the parameter step is bisected.
+The last sample of every path is always solved cold, so the end fiber does
+not depend on the corrector.
 
 Everything is deterministic for fixed inputs; no RNG is used.
 """
@@ -25,6 +31,7 @@ CLUSTER_RADIUS = 1e-7
 LEAD_DEGENERACY = 1e-12
 SEPARATION_FACTOR = 0.5
 MAX_BISECTIONS = 48
+NEWTON_STEPS = 4
 
 
 class RootFindError(RuntimeError):
@@ -284,14 +291,9 @@ def solve_fibers(
     rows = fp.coeff_rows(z1s)
     B = z1s.size
     norms = np.max(np.abs(rows), axis=1)
-    eff_deg = np.full(B, -1, dtype=int)
-    for i in range(B):
-        if norms[i] == 0:
-            continue
-        d = fp.deg2
-        while d >= 0 and abs(rows[i, d]) <= LEAD_DEGENERACY * norms[i]:
-            d -= 1
-        eff_deg[i] = d
+    # effective degree: the top coefficient above the degeneracy threshold
+    kept = ~(np.abs(rows) <= LEAD_DEGENERACY * norms[:, None])
+    eff_deg = np.where(kept.any(axis=1), fp.deg2 - np.argmax(kept[:, ::-1], axis=1), -1)
 
     roots_out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * B
     conv_out: list[np.ndarray] = [np.empty(0, dtype=bool)] * B
@@ -301,9 +303,9 @@ def solve_fibers(
         sel = np.nonzero(eff_deg == d)[0]
         batch = rows[sel, : d + 1]
         r, _, ok = _aberth_batch(batch, tol_res)
-        for pos, i in enumerate(sel):
-            roots_out[i] = r[pos]
-            conv_out[i] = ok[pos]
+        for i, r_i, ok_i in zip(sel.tolist(), r, ok):
+            roots_out[i] = r_i
+            conv_out[i] = ok_i
     return roots_out, conv_out
 
 
@@ -355,7 +357,8 @@ class TrackedPath:
 
     samples: np.ndarray  # (S,) complex z1 values after refinement
     fibers: np.ndarray  # (S, m) roots; row k+1 continues row k entrywise
-    refinements: int = 0
+    refinements: int = 0  # bisected steps
+    cold_solves: int = 0  # Aberth solves: fallbacks, last sample, start if no fiber0
 
     @property
     def start(self) -> np.ndarray:
@@ -390,7 +393,14 @@ def _min_separation(roots: np.ndarray) -> float:
     return float(d.min())
 
 
-def _fiber_at(fp: FiberPoly, z1: complex, tol_res: float) -> np.ndarray:
+def _step_ok(cur: np.ndarray, new: np.ndarray) -> bool:
+    """The separation rule: no root of an aligned step moves half a gap."""
+    moved = float(np.max(np.abs(cur - new)))
+    sep = min(_min_separation(cur), _min_separation(new))
+    return moved < SEPARATION_FACTOR * sep
+
+
+def _fiber_at(fp: FiberPoly, z1: complex, tol_res: float = TOL_RES) -> np.ndarray:
     row = fp.coeffs_at(z1)
     top = np.max(np.abs(row))
     if top == 0 or abs(row[-1]) <= LEAD_DEGENERACY * top:
@@ -404,6 +414,34 @@ def _fiber_at(fp: FiberPoly, z1: complex, tol_res: float) -> np.ndarray:
     return roots[0]
 
 
+def _newton_fiber(
+    fp: FiberPoly, z1: complex, start: np.ndarray, tol_res: float = TOL_RES
+) -> np.ndarray | None:
+    """Warm corrector: batched Newton on every sheet, starting from start.
+
+    Returns the corrected fiber, row-aligned with start, once every residual
+    |p(x)| is at most tol_res * (1 + max|coeff|), the test _aberth_batch
+    uses; None if NEWTON_STEPS steps do not get there or the leading
+    coefficient degenerates.
+    """
+    row = fp.coeffs_at(z1)
+    top = np.max(np.abs(row))
+    if top == 0 or abs(row[-1]) <= LEAD_DEGENERACY * top:
+        return None
+    limit = tol_res * (1.0 + top)
+    drow = row[1:] * np.arange(1, row.size)
+    # the powers of every sheet give p and p' as two products
+    x = start
+    V = np.vander(x, row.size, increasing=True)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            x = x - (V @ row) / (V[:, :-1] @ drow)
+            V = np.vander(x, row.size, increasing=True)
+            if (np.abs(V @ row) <= limit).all():
+                return x
+    return None
+
+
 def track(
     f,
     path,
@@ -414,10 +452,14 @@ def track(
     """Transport the z2-root fiber of f along a path of z1 samples.
 
     f is a BiPoly or FiberPoly; path an array of complex z1 values (closed
-    loop when first == last).  Consecutive fibers are paired by a
-    distance-minimal assignment; a step whose maximum movement reaches half
-    the minimum root separation is bisected, and the whole track fails with
-    TrackError if bisection bottoms out.
+    loop when first == last).  Each step first runs the warm Newton
+    corrector from the current fiber.  If it does not converge, or moves a
+    root by half the minimum root separation or more, the step falls back
+    to a cold Aberth solve paired with the current fiber by a
+    distance-minimal assignment; a cold step that breaks the same rule is
+    bisected, and the whole track fails with TrackError if bisection bottoms
+    out.  The last sample is always solved cold and paired by assignment,
+    so the end fiber is the same whatever the corrector did on the way.
     """
     fp = f if isinstance(f, FiberPoly) else FiberPoly(f)
     path = np.asarray(path, dtype=np.complex128).ravel()
@@ -426,6 +468,7 @@ def track(
     if fp.deg2 < 1:
         raise ValueError("polynomial has no z2 dependence to track")
 
+    cold_solves = 0
     if fiber0 is not None:
         cur = np.asarray(fiber0.roots if isinstance(fiber0, RootSet) else fiber0,
                          dtype=np.complex128)
@@ -433,36 +476,42 @@ def track(
             raise ValueError("fiber0 does not match the z2-degree")
     else:
         cur = _fiber_at(fp, path[0], tol_res)
+        cold_solves += 1
 
     samples = [path[0]]
-    fibers = [cur.copy()]
+    fibers = [cur]
     refinements = 0
 
     for seg_end_idx in range(1, path.size):
-        stack = [(path[seg_end_idx - 1], path[seg_end_idx], 0)]
+        final = seg_end_idx == path.size - 1
+        stack = [(path[seg_end_idx - 1], path[seg_end_idx], 0, final)]
         while stack:
-            a, b, depth = stack.pop()
-            new = _fiber_at(fp, b, tol_res)
-            cost = np.abs(cur[:, None] - new[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            matched = new[cols[np.argsort(rows)]]
-            moved = float(np.max(np.abs(cur - matched)))
-            sep = min(_min_separation(cur), _min_separation(new))
-            if moved >= SEPARATION_FACTOR * sep:
-                if depth >= max_bisections:
-                    raise TrackError(
-                        f"pairing stayed ambiguous after {max_bisections} "
-                        f"bisections near z1={b:.6g}"
-                    )
-                mid = 0.5 * (a + b)
-                stack.append((mid, b, depth + 1))
-                stack.append((a, mid, depth + 1))
-                refinements += 1
-                continue
-            cur = matched
+            a, b, depth, final = stack.pop()
+            new = None if final else _newton_fiber(fp, b, cur, tol_res)
+            if new is None or not _step_ok(cur, new):
+                new = _fiber_at(fp, b, tol_res)
+                cold_solves += 1
+                cost = np.abs(cur[:, None] - new[None, :])
+                rows, cols = linear_sum_assignment(cost)
+                new = new[cols[np.argsort(rows)]]
+                if not _step_ok(cur, new):
+                    if depth >= max_bisections:
+                        raise TrackError(
+                            f"pairing stayed ambiguous after {max_bisections} "
+                            f"bisections near z1={b:.6g}"
+                        )
+                    mid = 0.5 * (a + b)
+                    stack.append((mid, b, depth + 1, final))
+                    stack.append((a, mid, depth + 1, False))
+                    refinements += 1
+                    continue
+            cur = new
             samples.append(b)
-            fibers.append(cur.copy())
+            fibers.append(cur)
 
     return TrackedPath(
-        samples=np.array(samples), fibers=np.array(fibers), refinements=refinements
+        samples=np.array(samples),
+        fibers=np.array(fibers),
+        refinements=refinements,
+        cold_solves=cold_solves,
     )

@@ -76,6 +76,16 @@ class TestDomainSpec:
         assert d.contains(0.25, 0.25)
         assert not d.contains(0.5, 0.5 + 0.1j)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1.5])
+    def test_phi_rows_rounds_like_scalar_phi(self, p):
+        d = DomainSpec(p, 3.0)
+        rng = np.random.default_rng(3)
+        z1s = rng.normal(size=500) + 1j * rng.normal(size=500)
+        z2s = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+        got = d.phi_rows(z1s, z2s)
+        want = np.array([d.phi(z1, row) for z1, row in zip(z1s, z2s)])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMonomialNorm:
     def test_ball_volume(self):

@@ -5,8 +5,10 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import nullsatz.nullsatz as ns
 from nullsatz.bergman import DomainSpec
 from nullsatz.decompose import IsolatedPoint, decompose_curve
 from nullsatz.nullsatz import (
@@ -22,6 +24,7 @@ from nullsatz.nullsatz import (
     intersect_point,
 )
 from nullsatz.polyalg import BiPoly
+from nullsatz.rootfind import FiberPoly, solve_fibers
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -97,6 +100,82 @@ class TestIntersectCurve:
                 fine = intersect_curve(comp, BALL, pitch=0.02)
                 if coarse.verdict != INCONCLUSIVE:
                     assert fine.verdict == coarse.verdict
+
+
+def sheet_phis_loop(fiber, domain, z1s):
+    """Reference: the scalar scan, one z1 sample at a time."""
+    roots, conv = solve_fibers(fiber, z1s)
+    best_phi = np.inf
+    best = None
+    for k, z1 in enumerate(z1s):
+        r = roots[k][conv[k]]
+        if r.size == 0:
+            continue
+        phis = domain.phi(z1, r)
+        j = int(np.argmin(phis))
+        if phis[j] < best_phi:
+            best_phi = float(phis[j])
+            best = (complex(z1), complex(r[j]))
+    return best_phi, best
+
+
+OMEGA13 = DomainSpec(p=1.0, q=3.0)
+OMEGA31 = DomainSpec(p=3.0, q=1.0)
+
+
+class TestSheetScan:
+    def assert_same_as_loop(self, fiber, domain, z1s):
+        got = ns._sheet_phis(fiber, domain, z1s)
+        want = sheet_phis_loop(fiber, domain, z1s)
+        assert type(got[0]) is type(want[0]) is float
+        assert got == want
+        return want
+
+    @pytest.mark.parametrize("domain", [BALL, OMEGA11, OMEGA13, OMEGA31])
+    def test_ragged_fibers(self, domain):
+        # the leading z2-coefficient z1 - 1/2 vanishes at a grid point inside
+        # the unit disk, where the fiber drops to one root
+        fiber = FiberPoly((Z1 - Fraction(1, 2)) * Z2**2 + Z2 - Z1)
+        grid = ns._disk_grid(0.05)
+        roots, _ = solve_fibers(fiber, grid)
+        assert {r.size for r in roots} == {1, 2}
+        self.assert_same_as_loop(fiber, domain, grid)
+
+    @pytest.mark.parametrize("domain", [BALL, OMEGA11, OMEGA13, OMEGA31])
+    def test_exact_ties(self, domain):
+        # both sheets of z2^2 - 1/4 have the same gauge, and z1 and -z1 have
+        # the same fiber and |z1|, so every row's gauges appear twice
+        fiber = FiberPoly(Z2**2 - Fraction(1, 4))
+        grid = ns._disk_grid(0.05)
+        grid = grid[grid != 0]
+        z1s = np.concatenate([grid, -grid])
+        best_phi, best = self.assert_same_as_loop(fiber, domain, z1s)
+        roots, _ = solve_fibers(fiber, z1s)
+        phis = [domain.phi(z1, r) for z1, r in zip(z1s, roots)]
+        at_min = [k for k, row in enumerate(phis) if row.min() == best_phi]
+        assert len(at_min) >= 2
+        assert all((phis[k] == best_phi).sum() == 2 for k in at_min)
+
+    def test_real_component_on_the_full_grid(self):
+        comp, = decompose_curve(Z2**3 - Z1 * Z2 + Z1**2 - Fraction(1, 2))
+        fiber = FiberPoly(comp.defining)
+        for domain in (BALL, OMEGA31):
+            self.assert_same_as_loop(fiber, domain, ns._disk_grid(ns.GRID_PITCH))
+
+    @pytest.mark.parametrize("domain", [BALL, OMEGA13, OMEGA31])
+    def test_single_samples(self, domain):
+        # the Nelder-Mead objective scans one sample at a time
+        comp, = decompose_curve(Z2**2 - Z1 * Z2 + Z1**3 - Fraction(1, 3))
+        fiber = FiberPoly(comp.defining)
+        rng = np.random.default_rng(5)
+        for z1 in rng.uniform(-1, 1, 150) + 1j * rng.uniform(-1, 1, 150):
+            self.assert_same_as_loop(fiber, domain, np.array([z1]))
+
+    def test_single_sample_and_empty_fibers(self):
+        fiber = FiberPoly(Z1 * Z2 - Z1)  # vanishes identically at z1 = 0
+        for z1s in (np.array([0.3 + 0.1j]), np.array([0j]), np.array([0j, 0.5 + 0j])):
+            self.assert_same_as_loop(fiber, BALL, z1s)
+        assert ns._sheet_phis(fiber, BALL, np.array([0j])) == (np.inf, None)
 
 
 class TestAggregation:
@@ -211,6 +290,21 @@ class TestClassify:
         v = classify([f * (Z2 - quarter), f * (Z1 - quarter), f], BALL)
         assert v.overall == DENSE
         assert v.decomposition.points == ()
+
+    def test_polish_off_the_component_is_inconclusive(self, monkeypatch):
+        # Newton from z2 = 2 lands on the line's sheet, off the conic; judging
+        # that point made the conic MISS at 2.25 and the verdict DENSE
+        f = (Z2**2 - Z1 + Fraction(1, 4)) * (Z2 - 2)
+        assert classify([f], OMEGA11, with_certificate=False).overall == NEITHER
+        newton = ns._newton_z2
+        monkeypatch.setattr(
+            ns, "_newton_z2", lambda coeffs, z2, iters=12: newton(coeffs, 2.0 + 0j, iters)
+        )
+        v = classify([f], OMEGA11, with_certificate=False)
+        assert v.overall == INCONCLUSIVE
+        conic = [r for r in v.results if r.component.deg_z2 == 2]
+        assert [r.verdict for r in conic] == [INCONCLUSIVE]
+        assert conic[0].trace["note"] == "polish left the component"
 
     def test_root_find_failure_becomes_inconclusive(self):
         # Aberth fails on the degree-30 discriminant of this DENSE curve

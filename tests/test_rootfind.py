@@ -11,12 +11,18 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from nullsatz import rootfind
 from nullsatz.polyalg import BiPoly, UniPoly
 from nullsatz.rootfind import (
+    SEPARATION_FACTOR,
     FiberPoly,
     RootFindError,
+    TrackedPath,
     TrackError,
+    _fiber_at,
+    _min_separation,
     all_roots,
     circle_samples,
     loop_samples,
@@ -257,3 +263,107 @@ class TestTrack:
         path = circle_samples(0.0, 0.3, 64)
         tp = track(fp, path, fiber0=start)
         assert np.allclose(tp.start, start.as_array())
+
+
+def cold_track(fp, path, max_bisections=48):
+    """Reference tracker: an Aberth solve and an assignment at every step."""
+    cur = _fiber_at(fp, path[0])
+    samples, fibers, refinements = [path[0]], [cur], 0
+    for seg_end_idx in range(1, path.size):
+        stack = [(path[seg_end_idx - 1], path[seg_end_idx], 0)]
+        while stack:
+            a, b, depth = stack.pop()
+            new = _fiber_at(fp, b)
+            cost = np.abs(cur[:, None] - new[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            matched = new[cols[np.argsort(rows)]]
+            moved = float(np.max(np.abs(cur - matched)))
+            sep = min(_min_separation(cur), _min_separation(new))
+            if moved >= SEPARATION_FACTOR * sep:
+                assert depth < max_bisections
+                mid = 0.5 * (a + b)
+                stack.append((mid, b, depth + 1))
+                stack.append((a, mid, depth + 1))
+                refinements += 1
+                continue
+            cur = matched
+            samples.append(b)
+            fibers.append(cur)
+    return TrackedPath(np.array(samples), np.array(fibers), refinements)
+
+
+def assigned(prev, roots):
+    """roots reordered to pair with prev by a distance-minimal assignment."""
+    rows, cols = linear_sum_assignment(np.abs(prev[:, None] - roots[None, :]))
+    return roots[cols[np.argsort(rows)]]
+
+
+def assert_separation_rule(tp):
+    for k in range(tp.fibers.shape[0] - 1):
+        cur, new = tp.fibers[k], tp.fibers[k + 1]
+        sep = min(_min_separation(cur), _min_separation(new))
+        assert np.abs(new - cur).max() < SEPARATION_FACTOR * sep
+
+
+# (curve, centres of loops around its branch points): z2^2 - z1 and
+# z2^3 - z1^2 branch at 0; the product also near 1, where its factors
+# cross (z1 = 1) and the second factor branches (z1 = 2 sqrt 2 - 2)
+WARM_CURVES = {
+    "sqrt": (Z2**2 - Z1, (0.0,)),
+    "cusp": (Z2**3 - Z1**2, (0.0,)),
+    "product": ((Z2**2 - Z1) * (Z2**2 + Z1 * Z2 - Z1 + 1), (0.0, 1.0)),
+}
+
+
+class TestWarmTracker:
+    @pytest.mark.parametrize("name", sorted(WARM_CURVES))
+    def test_end_is_the_cold_fiber_by_assignment(self, name):
+        f, branch = WARM_CURVES[name]
+        fp = FiberPoly(f)
+        paths = [
+            segment_samples(0.3 + 0.2j, 1.7 - 0.4j, 12),
+            segment_samples(-0.8 + 0j, -0.1 + 0.9j, 5),
+            circle_samples(branch[0], 0.4, 48),
+            loop_samples(2.5 + 0.5j, branch[-1], 0.3, 40, 12),
+        ]
+        for path in paths:
+            tp = track(fp, path)
+            want = assigned(tp.fibers[-2], _fiber_at(fp, path[-1]))
+            assert tp.end.tobytes() == want.tobytes()
+            assert tp.cold_solves >= 2  # the start and the last sample
+
+    @pytest.mark.parametrize("name", sorted(WARM_CURVES))
+    @pytest.mark.parametrize("n", (48, 96, 192))
+    def test_loop_permutations_match_cold_tracker(self, name, n):
+        f, branch = WARM_CURVES[name]
+        fp = FiberPoly(f)
+        loops = [circle_samples(b, 0.4, n) for b in branch]
+        loops.append(circle_samples(0.5, 1.2, n))
+        loops.append(loop_samples(-1.5 + 0.5j, branch[-1], 0.35, n, n // 4))
+        for path in loops:
+            warm, cold = track(fp, path), cold_track(fp, path)
+            assert warm.loop_permutation() == cold.loop_permutation()
+            assert warm.refinements == cold.refinements
+            assert warm.samples.tobytes() == cold.samples.tobytes()
+            assert warm.end.tobytes() == cold.end.tobytes()
+
+    def test_failed_corrector_falls_back_and_bisects(self, monkeypatch):
+        # from z1 = 1 to 10^4 the roots +-1 move to +-100: Newton from the
+        # previous fiber cannot get there in a few steps
+        calls = []
+        newton = rootfind._newton_fiber
+
+        def spy(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(rootfind, "_newton_fiber", spy)
+        path = np.array([1.0 + 0j, 1e4 + 0j])
+        tp = track(Z2**2 - Z1, path)
+        assert False in calls and True in calls
+        assert tp.refinements > 0
+        assert tp.cold_solves > 2
+        assert tp.samples[-1] == path[-1]
+        assert_separation_rule(tp)
+        assert np.allclose(np.sort(tp.end.real), [-100.0, 100.0])
