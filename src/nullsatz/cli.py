@@ -93,11 +93,16 @@ def cmd_density(args) -> int:
     p = load_poly(args.poly)
     zero_w = None
     if args.witness:
-        parts = [float(x) for x in args.witness.split(",")]
+        bad = PolyFormatError(
+            "--witness needs four comma-separated floats re1,im1,re2,im2, "
+            f"got {args.witness!r}"
+        )
+        try:
+            parts = [float(x) for x in args.witness.split(",")]
+        except ValueError:
+            raise bad from None
         if len(parts) != 4:
-            raise PolyFormatError(
-                "--witness needs four comma-separated floats re1,im1,re2,im2"
-            )
+            raise bad
         zero_w = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
     cert = density_certificate(
         p,

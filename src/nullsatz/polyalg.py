@@ -13,6 +13,11 @@ Conventions:
   lexicographic leading term (ordered by z2-degree, then z1-degree) is 1,
 * the Sylvester resultant is taken with respect to z2 and returned as an
   exact univariate polynomial in z1.
+
+Bivariate gcds and z2-resultants both come from one subresultant
+pseudo-remainder sequence in (Q(i)[z1])[z2] (Collins 1967; Brown & Traub
+1971): the gcd from its last nonzero element, the resultant from its end.
+Univariate gcds in Q(i)[z1] use the Euclidean algorithm with monic remainders.
 """
 
 from __future__ import annotations
@@ -301,10 +306,14 @@ class UniPoly:
 
 
 def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd in Q(i)[x] by the Euclidean algorithm."""
+    """Monic gcd in Q(i)[x] by the Euclidean algorithm.
+
+    Every remainder is made monic, which keeps the Fraction sizes of the
+    remainder sequence from blowing up.
+    """
     while not b.is_zero:
         _, r = a.divmod(b)
-        a, b = b, r
+        a, b = b, r.monic()
     return a.monic() if not a.is_zero else a
 
 
@@ -552,7 +561,7 @@ class BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact division, gcd, square-free decomposition
+# exact division; gcd and resultant by one subresultant PRS; square-free
 # ---------------------------------------------------------------------------
 
 
@@ -627,72 +636,97 @@ def content_pp_z2(f: BiPoly) -> tuple[UniPoly, BiPoly]:
     return cont, pp
 
 
-def _prem_z2(A: BiPoly, B: BiPoly) -> BiPoly:
-    """Pseudo-remainder of A by B with respect to z2, coefficients in Q(i)[z1]."""
-    a = A.z2_coeffs()
-    b = B.z2_coeffs()
+def _upow(u: UniPoly, n: int) -> UniPoly:
+    out = UniPoly([GR_ONE])
+    for _ in range(n):
+        out = out * u
+    return out
+
+
+def _prem_z2(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
+    """lc(B)^(deg A - deg B + 1) * A mod B for z2-coefficient lists.
+
+    Every quotient term costs one factor lc(B), even when its coefficient is
+    zero: the subresultant divisions need the full power.
+    """
     db = len(b) - 1
     lcb = b[-1]
     r = list(a)
-    while len(r) - 1 >= db and r:
-        while r and r[-1].is_zero:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        lr = r[-1]
-        k = len(r) - 1 - db
-        # r <- lc(B)*r - lr*z2^k*B  : degree in z2 strictly drops
+    for k in range(len(a) - 1 - db, -1, -1):
+        lr = r.pop()  # coefficient of z2^(k + db)
         r = [lcb * c for c in r]
-        for i in range(db + 1):
-            r[k + i] = r[k + i] - lr * b[i]
+        if not lr.is_zero:
+            for i in range(db):
+                r[k + i] = r[k + i] - lr * b[i]
+    while r and r[-1].is_zero:
         r.pop()
-    return BiPoly.from_z2_coeffs(r)
+    return r
+
+
+def _subresultant_prs(a: list[UniPoly], b: list[UniPoly]):
+    """Subresultant PRS of nonzero z2-coefficient lists (Cohen, GTM 138, 3.3.7).
+
+    Orders the pair so deg A >= deg B, then steps (A, B) <- (B, prem(A, B) /
+    (g h^delta)), g <- lc(A), h <- g^delta / h^(delta - 1), every division
+    exact in Q(i)[z1], until B is zero or free of z2.  Returns (A, B, h, s):
+    the last two elements, the final h, and the sign (-1)^(deg A deg B)
+    accumulated over the swap and the steps.
+    """
+    g = h = UniPoly([GR_ONE])
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        s = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        s *= (-1) ** (da * db)
+        div = g * _upow(h, delta)
+        a, b = b, [c.exact_div(div) for c in _prem_z2(a, b)]
+        g = a[-1]
+        if delta:
+            h = _upow(g, delta).exact_div(_upow(h, delta - 1))
+    return a, b, h, s
 
 
 def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact gcd in Q(i)[z1, z2], normalized lex-monic (z2 before z1).
 
-    Uses content/primitive-part splitting in (Q(i)[z1])[z2] and a primitive
-    pseudo-remainder sequence, so coefficient growth stays tame.
+    The gcd of the z2-contents times the primitive part of the last nonzero
+    element of the subresultant PRS of the primitive parts.  If that element
+    is free of z2 its primitive part is a constant, so z2-free arguments need
+    no branch of their own.
     """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    if f.is_zero:
-        return lex_monic(g)
-    if g.is_zero:
-        return lex_monic(f)
-    if f.deg2 == 0 and g.deg2 == 0:
-        u = unipoly_gcd(f.as_unipoly_z1(), g.as_unipoly_z1())
-        return lex_monic(BiPoly.from_unipoly_z1(u))
-    if f.deg2 == 0:
-        cg, _ = content_pp_z2(g)
-        u = unipoly_gcd(f.as_unipoly_z1(), cg)
-        return lex_monic(BiPoly.from_unipoly_z1(u))
-    if g.deg2 == 0:
-        return gcd2(g, f)
-
+    if f.is_zero or g.is_zero:
+        return lex_monic(f + g)
     cf, pf = content_pp_z2(f)
     cg, pg = content_pp_z2(g)
-    cont = unipoly_gcd(cf, cg)
+    a, b, _, _ = _subresultant_prs(pf.z2_coeffs(), pg.z2_coeffs())
+    _, gpp = content_pp_z2(BiPoly.from_z2_coeffs(b or a))
+    return lex_monic(BiPoly.from_unipoly_z1(unipoly_gcd(cf, cg)) * gpp)
 
-    A, B = (pf, pg) if pf.deg2 >= pg.deg2 else (pg, pf)
-    while True:
-        if B.is_zero:
-            gpp = A
-            break
-        if B.deg2 == 0:
-            gpp = BiPoly.constant(1)
-            break
-        R = _prem_z2(A, B)
-        if R.is_zero:
-            A, B = B, R
-            continue
-        _, Rpp = content_pp_z2(R)
-        A, B = B, Rpp
 
-    _, gpp = content_pp_z2(gpp) if gpp.deg2 > 0 else (None, lex_monic(gpp))
-    result = BiPoly.from_unipoly_z1(cont) * gpp
-    return lex_monic(result)
+def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
+    """Exact Sylvester resultant Res_{z2}(f, g) as a polynomial in z1.
+
+    Read off the end of the subresultant PRS (Collins 1967; Brown & Traub
+    1971): s * lc(B)^deg A / h^(deg A - 1) for the last, z2-free element B.
+    The actual z2-degrees fix the Sylvester matrix, so a z2-free argument c
+    gives c^deg of the other, in either order.  Vanishes exactly where f and
+    g share a z2-root or both leading z2-coefficients vanish, and identically
+    when they share a factor that involves z2.
+    """
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("resultant with a zero polynomial")
+    if f.deg2 < 1 and g.deg2 < 1:
+        raise ValueError("resultant needs z2-degree >= 1 in at least one argument")
+    a, b, h, s = _subresultant_prs(f.z2_coeffs(), g.z2_coeffs())
+    if not b:
+        return UniPoly()
+    da = len(a) - 1
+    return _upow(b[0], da).exact_div(_upow(h, da - 1)) * s
 
 
 def gcd_many(polys: Iterable[BiPoly]) -> BiPoly:
@@ -732,93 +766,6 @@ def squarefree(f: BiPoly) -> list[tuple[BiPoly, int]]:
             c = exact_div(c, y)
         i += 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sylvester resultant with respect to z2
-# ---------------------------------------------------------------------------
-
-
-def _det_gauss(mat: list[list[GaussRational]]) -> GaussRational:
-    """Exact determinant over Q(i) by Gaussian elimination with pivoting."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = GR_ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero), None)
-        if piv is None:
-            return GR_ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pc = m[col][col]
-        det = det * pc
-        inv = GR_ONE / pc
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor.is_zero:
-                continue
-            for cidx in range(col, n):
-                m[r][cidx] = m[r][cidx] - factor * m[col][cidx]
-    return det
-
-
-def _newton_interp(xs: list[GaussRational], ys: list[GaussRational]) -> UniPoly:
-    """Exact Newton interpolation through (xs[i], ys[i]) with distinct xs."""
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UniPoly()
-    basis = UniPoly([GR_ONE])
-    for i in range(n):
-        poly = poly + basis * coef[i]
-        basis = basis * UniPoly([-xs[i], GR_ONE])
-    return poly
-
-
-def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Exact Sylvester resultant Res_{z2}(f, g) as a polynomial in z1.
-
-    Formal z2-degrees fix the matrix shape; the determinant is recovered by
-    evaluating at integer z1 nodes and interpolating, which keeps every step
-    inside Q(i).  Vanishes exactly where f and g share a z2-root or both
-    leading z2-coefficients vanish.
-    """
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("resultant with a zero polynomial")
-    df, dg = f.deg2, g.deg2
-    if df < 1 and dg < 1:
-        raise ValueError("resultant needs z2-degree >= 1 in at least one argument")
-    fc = f.z2_coeffs()  # index = z2 power
-    gc = g.z2_coeffs()
-    d1f = max(f.deg1, 0)
-    d1g = max(g.deg1, 0)
-    bound = df * d1g + dg * d1f
-    n = df + dg
-
-    def node(k: int) -> GaussRational:
-        # 0, 1, -1, 2, -2, ...
-        if k == 0:
-            return GR_ZERO
-        half = (k + 1) // 2
-        return GaussRational(half if k % 2 == 1 else -half)
-
-    xs = [node(k) for k in range(bound + 1)]
-    ys = []
-    for t in xs:
-        fv = [u.eval(t) for u in fc]  # ascending z2 powers
-        gv = [u.eval(t) for u in gc]
-        mat = [[GR_ZERO] * n for _ in range(n)]
-        for row in range(dg):  # rows of f coefficients (descending powers)
-            for j in range(df + 1):
-                mat[row][row + j] = fv[df - j]
-        for row in range(df):  # rows of g coefficients
-            for j in range(dg + 1):
-                mat[dg + row][row + j] = gv[dg - j]
-        ys.append(_det_gauss(mat))
-    return _newton_interp(xs, ys)
 
 
 # ---------------------------------------------------------------------------

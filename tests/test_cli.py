@@ -157,6 +157,13 @@ class TestErrorPaths:
         assert code == 10
         assert "error" in err
 
+    @pytest.mark.parametrize("witness", ["a,b,c,d", "0.5,0,0.5"])
+    def test_bad_witness_is_input_error(self, capsys, tmp_path, witness):
+        path = write_poly(tmp_path, "p.json", Z1 - 2)
+        code, _, err = run(capsys, "density", "--poly", path, "--witness", witness)
+        assert code == 64
+        assert "--witness" in err
+
     def test_flags_only_where_read(self, tmp_path):
         path = write_poly(tmp_path, "p.json", Z1 - 2)
         for argv in (

@@ -62,6 +62,19 @@ def from_sympy(expr) -> BiPoly:
     return BiPoly(terms)
 
 
+def sympy_resultant_z2(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Res_{z2}(f, g) from sympy, asked only with deg f >= deg g.
+
+    sympy 1.14's resultant of z2^3 and z2^5 + 3 is -27, and so is that of
+    z2^5 + 3 and z2^3, while the Sylvester determinant of the first pair
+    is 27.  The other order goes through Res(f, g) =
+    (-1)^(deg f deg g) Res(g, f).
+    """
+    if f.deg2 < g.deg2:
+        return sympy_resultant_z2(g, f) * (-1) ** (f.deg2 * g.deg2)
+    return from_sympy(sp.resultant(to_sympy(f), to_sympy(g), _s2))
+
+
 def random_gauss(rng: random.Random, small=False) -> GaussRational:
     def frac():
         num = rng.randint(-4, 4)
@@ -152,6 +165,24 @@ class TestUniPoly:
         q = UniPoly([3, -4, 1])
         g = unipoly_gcd(p, q)
         assert g == UniPoly([-1, 1])
+        # degree 13 and 12 with a planted degree-4 common factor: long
+        # remainder sequences whose Fraction sizes blow up unless reduced;
+        # sympy gives the expected gcd
+        rng = random.Random(29)
+        h, a, b = (
+            UniPoly([random_gauss(rng) for _ in range(n)] + [GaussRational(1)])
+            for n in (4, 9, 8)
+        )
+        f, g = h * a, h * b
+        assert f.degree >= 12 and g.degree >= 12
+        theirs = sp.gcd(
+            to_sympy(BiPoly.from_unipoly_z1(f)),
+            to_sympy(BiPoly.from_unipoly_z1(g)),
+            gaussian=True,
+        )
+        expected = from_sympy(theirs).as_unipoly_z1().monic()
+        assert expected.degree >= 4
+        assert unipoly_gcd(f, g) == expected
 
     def test_gcd_of_coprime_is_one(self):
         p = UniPoly([1, 0, 1])  # x^2+1
@@ -275,6 +306,39 @@ class TestExactDiv:
 # ---------------------------------------------------------------------------
 
 
+def _points_size_pair() -> tuple[BiPoly, BiPoly]:
+    """A 4x4 grid ideal pulled back by a shear, one generator rewritten:
+    z2-degree 4 and z1-degree 5, the shape of a benchmark points case."""
+    G = GaussRational
+    beta, gamma = G(Fraction(3, 8), Fraction(-1, 8)), G(Fraction(-1, 4))
+    f = g = BiPoly.constant(1)
+    for a in (G(Fraction(1, 8)), G(Fraction(-3, 8), Fraction(1, 4)),
+              G(0, Fraction(-1, 2)), G(Fraction(5, 8))):
+        f = f * (Z1 + beta * Z2 - a)
+    for b in (G(Fraction(1, 4)), G(Fraction(-1, 8), Fraction(3, 8)),
+              G(Fraction(-5, 8)), G(Fraction(3, 8), Fraction(1, 8))):
+        g = g * (gamma * Z1 + Z2 - b)
+    f = f + (G(Fraction(1, 2), Fraction(-1, 4)) * Z1 + G(Fraction(3, 4))) * g
+    return f, g
+
+
+# Inputs that exercise the subresultant PRS beyond one-degree-per-step
+# remainders: remainders that drop two or more z2-degrees, also by a divisor
+# whose leading coefficient is not constant (so every lc(B) power counts), a
+# z2-free argument in each position, a shared factor (resultant identically
+# zero), and a pair of benchmark size.
+PRS_EDGE_PAIRS = [
+    (Z2**5 + Z1 * Z2 + 3, Z2**3 + Z1),
+    (Z2**4 + Z1 * Z2**2 + 1, Z2**2 + Z1 * Z2 + Z1),
+    (Z2**4 + 1, Z1 * Z2**2 + 1),
+    ((Z1 + 2) * Z2**5 + Z1 * Z2 + 3, (Z1 - 1) * Z2**3 + Z1),
+    ((Z1 - 1) * (Z2**3 + Z1 * Z2 + 2), (Z1 - 1) * (Z1 + 2)),
+    ((Z1 - 1) * (Z1 + 2), (Z1 - 1) * (Z2**3 + Z1 * Z2 + 2)),
+    ((Z2 - Z1) * (Z2**2 + Z1), (Z2 - Z1) * (Z2 + Z1 + 2)),
+    _points_size_pair(),
+]
+
+
 def assert_same_up_to_constant(f: BiPoly, g: BiPoly):
     assert lex_monic(f) == lex_monic(g), f"{f!r} != {g!r} (up to constants)"
 
@@ -324,6 +388,9 @@ class TestGcd2:
             ours = gcd2(f, g)
             theirs = from_sympy(sp.gcd(to_sympy(f), to_sympy(g), gaussian=True))
             assert_same_up_to_constant(ours, theirs)
+        for f, g in PRS_EDGE_PAIRS:
+            theirs = from_sympy(sp.gcd(to_sympy(f), to_sympy(g), gaussian=True))
+            assert gcd2(f, g) == lex_monic(theirs)
 
     def test_gcd_divides_both_random(self):
         rng = random.Random(307)
@@ -438,8 +505,11 @@ class TestResultantZ2:
             if f.deg2 < 1 or g.deg2 < 1:
                 continue
             ours = BiPoly.from_unipoly_z1(resultant_z2(f, g))
-            theirs = sp.resultant(to_sympy(f), to_sympy(g), _s2)
-            assert ours == from_sympy(theirs)
+            assert ours == sympy_resultant_z2(f, g)
+        for pair in PRS_EDGE_PAIRS:
+            for f, g in (pair, pair[::-1]):
+                ours = BiPoly.from_unipoly_z1(resultant_z2(f, g))
+                assert ours == sympy_resultant_z2(f, g)
 
     def test_multiplicative_random(self):
         rng = random.Random(521)
