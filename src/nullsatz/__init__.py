@@ -42,6 +42,7 @@ from .bergman import (  # noqa: F401
     kernel_diag,
     monomial_norm,
     projection_distance,
+    projection_distances,
     ratio_sup,
 )
 from .decompose import (  # noqa: F401

@@ -8,8 +8,9 @@ Hilbert-space side reduces to the squared monomial norms
 
 computed in log space.  On top of the norm table sit inner products, the
 reproducing-kernel diagonal, least-squares projection distances
-d_N = dist(1, p * P_N), the dilation family p(z)/p(rz) with its 2^d ratio
-bound, and the density certificate that packages the observables.
+d_N = dist(1, p * P_N) (the whole profile d_0..d_N_max from one Householder
+QR, since the systems are nested), the dilation family p(z)/p(rz) with its
+2^d ratio bound, and the density certificate that packages the observables.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ MC_SAMPLES = 100_000
 N_MAX = 20
 RATIO_SLACK = 1e-9
 DENOM_FLOOR = 1e-14
+RANK_RCOND = 1e-12
 BOUNDARY_FRACTION = 0.25
 CORNER_PHASES = 128
 
@@ -45,7 +47,7 @@ class MissingNormError(KeyError):
 
 
 class RankDeficiencyWarning(UserWarning):
-    """Least-squares system was rank deficient; solution is regularized."""
+    """The projection system has numerical rank below its column count."""
 
 
 @dataclass(frozen=True)
@@ -238,43 +240,79 @@ def kernel_lower_bound(domain: DomainSpec, w: tuple[complex, complex],
 # ---------------------------------------------------------------------------
 
 
-def projection_distance(p: BiPoly, N: int, table: MonomialNormTable) -> float:
-    """d_N = min over q of total degree <= N of the norm of 1 - p*q.
+def projection_distances(p: BiPoly, N_max: int, table: MonomialNormTable) -> list[float]:
+    """[d_0, ..., d_N_max], d_N = min over q of total degree <= N of ||1 - p*q||.
 
-    Solved as complex least squares in coordinates where each monomial
-    z1^a z2^b is scaled by sqrt(nu_ab), making the basis orthonormal.
+    Complex least squares in coordinates where each monomial z1^a z2^b is
+    scaled by sqrt(nu_ab), making the basis orthonormal.  The columns p*z^c
+    are ordered by total degree |c|, so the system for N is the first
+    k_N = (N+1)(N+2)/2 columns of the one for N_max: the rows it does not
+    reach are zero there, and the right-hand side lives on row (0, 0).  One
+    Householder QR of [A | b] gives (Q^H b) in the last column of R, and
+    d_N is the norm of its entries from k_N on, summed from the end so every
+    tail keeps its digits and the profile is non-increasing.
     """
     if p.is_zero:
         raise ValueError("projection distance needs a nonzero polynomial")
-    if N < 0:
+    if N_max < 0:
         raise ValueError("N must be >= 0")
-    cols = [(c, d) for c in range(N + 1) for d in range(N + 1 - c)]
-    row_set = {(0, 0)}
-    for (a, b) in p.terms:
-        for (c, d) in cols:
-            row_set.add((a + c, b + d))
-    rows = sorted(row_set)
-    row_index = {e: i for i, e in enumerate(rows)}
-    scale = np.array([math.sqrt(table.norm(a, b)) for a, b in rows])
+    ca, cb = np.array([(c, s - c) for s in range(N_max + 1) for c in range(s + 1)]).T
+    exps = np.array(list(p.terms))
+    coefs = np.array([complex(c) for c in p.terms.values()])
 
-    A = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-    for j, (c, d) in enumerate(cols):
-        for (a, b), coef in p.terms.items():
-            i = row_index[(a + c, b + d)]
-            A[i, j] += complex(coef)
-    A *= scale[:, None]
-    rhs = np.zeros(len(rows), dtype=np.complex128)
-    rhs[row_index[(0, 0)]] = scale[row_index[(0, 0)]]
+    width = p.deg2 + N_max + 1
+    keys = (exps[:, :1] + ca) * width + (exps[:, 1:] + cb)  # row key of term * z^c
+    rows, inv = np.unique(np.append(keys, 0), return_inverse=True)
+    scale = np.array([math.sqrt(table.norm(int(k) // width, int(k) % width)) for k in rows])
 
-    x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=1e-12)
-    if rank < len(cols):
-        warnings.warn(
-            f"projection system rank {rank} < {len(cols)} columns; "
-            "solution regularized",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return float(np.linalg.norm(rhs - A @ x))
+    K = ca.size
+    Ab = np.zeros((rows.size, K + 1), dtype=np.complex128)
+    Ab[inv[:-1].reshape(keys.shape), np.arange(K)] = coefs[:, None]
+    Ab[0, K] = 1.0  # key 0 = exponent (0, 0) sorts first
+    Ab *= scale[:, None]
+
+    R = np.linalg.qr(Ab, mode="r")
+    _warn_rank(R[:K, :K], N_max)
+    tail = np.cumsum(np.abs(R[::-1, K]) ** 2)[::-1]
+    tail = np.append(tail, 0.0)
+    return [math.sqrt(tail[(N + 1) * (N + 2) // 2]) for N in range(N_max + 1)]
+
+
+def projection_distance(p: BiPoly, N: int, table: MonomialNormTable) -> float:
+    """d_N alone; the last entry of projection_distances(p, N, table)."""
+    return projection_distances(p, N, table)[N]
+
+
+def _warn_rank(R: np.ndarray, N_max: int) -> None:
+    """Warn once, naming the first N whose R[:k_N, :k_N] has rank < k_N.
+
+    Rank counts the singular values above RANK_RCOND * sigma_max, the rule
+    of a least-squares solve with rcond = RANK_RCOND.  Dropping columns
+    cannot raise sigma_max or lower sigma_min (Cauchy interlacing), so a full
+    R that passes clears every N, and once some N fails every larger N fails
+    too.
+    """
+
+    def rank(N: int) -> tuple[int, int]:
+        k = (N + 1) * (N + 2) // 2
+        s = np.linalg.svd(R[:k, :k], compute_uv=False)
+        return int(np.count_nonzero(s > RANK_RCOND * s[0])), k
+
+    r, k = rank(N_max)
+    if r == k:
+        return
+    first = N_max
+    while first > 0:
+        r_below, k_below = rank(first - 1)
+        if r_below == k_below:
+            break
+        first, r, k = first - 1, r_below, k_below
+    warnings.warn(
+        f"projection system rank {r} < {k} columns at N = {first}; d_N from "
+        "there on is a distance to a numerically rank-deficient span",
+        RankDeficiencyWarning,
+        stacklevel=3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +582,7 @@ def density_certificate(
     if p.is_zero:
         raise ValueError("density certificate needs a nonzero polynomial")
     table = MonomialNormTable(domain, p.deg1 + p.deg2 + 2 * N_max + 2)
-    profile = [(N, projection_distance(p, N, table)) for N in range(N_max + 1)]
+    profile = list(enumerate(projection_distances(p, N_max, table)))
 
     dilation: list[tuple[float, float]] = []
     z1, z2 = sample_interior(domain, mc_samples, seed)

@@ -391,22 +391,36 @@ def decompose_curve(
 # ---------------------------------------------------------------------------
 
 
-def _eval_pair(g: BiPoly, z: np.ndarray) -> complex:
-    return g.eval(complex(z[0]), complex(z[1]))
+def _z2_rows(g: BiPoly) -> list[list[complex]]:
+    """g's z2-coefficients as complex z1-coefficient lists, converted once."""
+    return [[complex(c) for c in u.coeffs] for u in g.z2_coeffs()]
+
+
+def _eval_rows(rows: list[list[complex]], x1: complex, x2: complex) -> complex:
+    """g(x1, x2) from _z2_rows(g); the same Horner order as BiPoly.eval.
+
+    Horner in z1 on each row, then in z2 over the row values, so every float
+    matches BiPoly.eval(x1, x2) bit for bit.
+    """
+    if not rows:
+        return 0j
+    return _horner([_horner(r, x1) if r else 0j for r in rows], x2)
 
 
 def _newton_refine(
-    gA: BiPoly, gB: BiPoly, z0: tuple[complex, complex], iters: int = 30
+    system: list[list[list[complex]]], z0: tuple[complex, complex], iters: int = 30
 ) -> tuple[complex, complex]:
-    dA1, dA2 = gA.deriv(1), gA.deriv(2)
-    dB1, dB2 = gB.deriv(1), gB.deriv(2)
+    """Newton on gA = gB = 0; system holds the _z2_rows of gA, gB, d/dz1 gA,
+    d/dz2 gA, d/dz1 gB and d/dz2 gB, in that order."""
+    A, B, A1, A2, B1, B2 = system
     z = np.array([complex(z0[0]), complex(z0[1])])
     for _ in range(iters):
-        F = np.array([_eval_pair(gA, z), _eval_pair(gB, z)])
+        x1, x2 = complex(z[0]), complex(z[1])
+        F = np.array([_eval_rows(A, x1, x2), _eval_rows(B, x1, x2)])
         J = np.array(
             [
-                [_eval_pair(dA1, z), _eval_pair(dA2, z)],
-                [_eval_pair(dB1, z), _eval_pair(dB2, z)],
+                [_eval_rows(A1, x1, x2), _eval_rows(A2, x1, x2)],
+                [_eval_rows(B1, x1, x2), _eval_rows(B2, x1, x2)],
             ]
         )
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
@@ -475,7 +489,11 @@ def zero_dim_solve(
             )
 
     slicers = [(FiberPoly(g) if g.deg2 >= 1 else None, g) for g in gens]
-    scaleof = {id(g): _coeff_scale(g) for g in gens}
+    gA, gB = pair
+    system = [
+        _z2_rows(g) for g in (gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2))
+    ]
+    gen_rows = [_z2_rows(g) for g in gens]
 
     accepted: list[IsolatedPoint] = []
     for alpha in candidates:
@@ -491,10 +509,8 @@ def zero_dim_solve(
         if beta_cands is None:
             beta_cands = [0.0 + 0j]  # system may force z2 only through constants
         for beta in beta_cands:
-            zt = _newton_refine(pair[0], pair[1], (alpha, beta))
-            resid = tuple(
-                abs(g.eval(zt[0], zt[1])) for g in gens
-            )
+            zt = _newton_refine(system, (alpha, beta))
+            resid = tuple(abs(_eval_rows(rows, *zt)) for rows in gen_rows)
             if max(resid) < tol_point:
                 if all(
                     max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))

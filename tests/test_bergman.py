@@ -2,7 +2,8 @@
 
 Ground truths: the Monte Carlo volume-moment oracle, the closed-form unit
 ball kernel 2/(pi^2 (1 - <z,w>)^3), hand-solved small least-squares problems,
-and the dilation ratio analysis for one-variable factors.
+one lstsq per N for the projection profile, and the dilation ratio analysis
+for one-variable factors.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from oracles import mc_monomial_norm
 
 from nullsatz.bergman import (
     DENOM_FLOOR,
+    RankDeficiencyWarning,
     DensityCertificate,
     DilationFamily,
     DomainError,
@@ -36,6 +39,7 @@ from nullsatz.bergman import (
     monomial_norm,
     norm_sq,
     projection_distance,
+    projection_distances,
     ratio_sup,
     sample_closure,
     sample_interior,
@@ -275,6 +279,100 @@ class TestProjectionDistance:
         t = MonomialNormTable(BALL, 2)
         with pytest.raises(ValueError):
             projection_distance(BiPoly.zero(), 0, t)
+
+
+def _seeded_poly(rng: random.Random, zero_free: bool) -> BiPoly:
+    """A random nonconstant polynomial of bidegree <= (3, 3).
+
+    zero_free adds a constant above the sum of the other |coefficients|, so
+    p has no zero on the closed polydisc and its profile d_N falls to 0.
+    """
+    while True:
+        f = BiPoly(
+            {
+                (rng.randint(0, 3), rng.randint(0, 3)): GaussRational(
+                    rng.randint(-4, 4), rng.randint(-3, 3)
+                )
+                for _ in range(rng.randint(2, 5))
+            }
+        )
+        if not f.is_constant:
+            break
+    if zero_free:
+        f = f + math.ceil(sum(abs(complex(c)) for c in f.terms.values())) + 1
+    return f
+
+
+def _lstsq_profile(p: BiPoly, domain: DomainSpec, N_max: int) -> list[float]:
+    """d_0..d_N_max with one lstsq per N, columns z1^c z2^d in (c, d) order."""
+    nu: dict[tuple[int, int], float] = {}
+    out = []
+    for N in range(N_max + 1):
+        cols = [(c, d) for c in range(N + 1) for d in range(N + 1 - c)]
+        rows = sorted({(0, 0)} | {(a + c, b + d) for (a, b) in p.terms for (c, d) in cols})
+        at = {e: i for i, e in enumerate(rows)}
+        A = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+        for j, (c, d) in enumerate(cols):
+            for (a, b), coef in p.terms.items():
+                A[at[(a + c, b + d)], j] = complex(coef)
+        for e in rows:
+            if e not in nu:
+                nu[e] = monomial_norm(domain, *e)
+        scale = np.sqrt([nu[e] for e in rows])
+        A *= scale[:, None]
+        rhs = np.zeros(len(rows), dtype=np.complex128)
+        rhs[at[(0, 0)]] = scale[at[(0, 0)]]
+        x = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        out.append(float(np.linalg.norm(rhs - A @ x)))
+    return out
+
+
+class TestProjectionProfile:
+    """One QR for every N against one lstsq per N and the closed-form d_0."""
+
+    @pytest.mark.parametrize("domain", [BALL, SIMPLEX, DomainSpec(1.0, 3.0)],
+                             ids=["ball", "1_1", "1_3"])
+    def test_matches_per_N_lstsq(self, domain):
+        rng = random.Random(f"profile:{domain.p},{domain.q}")
+        for zero_free in (True, True, False, False):
+            p = _seeded_poly(rng, zero_free)
+            t = MonomialNormTable(domain, p.deg1 + p.deg2 + 20)
+            got = projection_distances(p, 20, t)
+            want = _lstsq_profile(p, domain, 20)
+            assert len(got) == 21
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * want[0]
+            assert all(b <= a for a, b in zip(got, got[1:]))
+            nu00 = monomial_norm(domain, 0, 0)
+            p00 = abs(complex(p.coeff(0, 0)))
+            pn = sum(abs(complex(c)) ** 2 * monomial_norm(domain, a, b)
+                     for (a, b), c in p.terms.items())
+            d0 = math.sqrt(nu00 - p00**2 * nu00**2 / pn)
+            assert got[0] == pytest.approx(d0, rel=1e-12)
+
+    def test_single_N_is_last_profile_entry(self):
+        t = MonomialNormTable(SIMPLEX, 12)
+        p = (Z1 - 2) * (Z2 + GaussRational(1, 3))
+        for N in (0, 4, 10):
+            assert projection_distance(p, N, t) == projection_distances(p, N, t)[N]
+
+    def test_rejects_negative_N(self):
+        with pytest.raises(ValueError):
+            projection_distances(Z1 - 2, -1, MonomialNormTable(BALL, 2))
+
+    def test_rank_deficient_system_warns_once_and_stays_dense(self):
+        p = Z1 + Z2 - 3
+        with pytest.warns(RankDeficiencyWarning) as rec:
+            cert = density_certificate(p, DomainSpec(0.5, 0.5), N_max=20)
+        assert len(rec) == 1
+        msg = str(rec[0].message)
+        assert "at N = " in msg and "regularized" not in msg
+        assert cert.status == STATUS_DENSE
+
+    def test_ball_system_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficiencyWarning)
+            cert = density_certificate(Z1 + Z2 - 3, BALL, N_max=20)
+        assert cert.status == STATUS_DENSE
 
 
 class TestSampling:

@@ -2,6 +2,7 @@
 varieties and the invariants the monodromy construction must satisfy."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from nullsatz.decompose import (
     CurveComponent,
     DecomposeError,
     IsolatedPoint,
+    _eval_rows,
+    _z2_rows,
     decompose_curve,
     decompose_ideal,
     zero_dim_solve,
@@ -193,6 +196,54 @@ class TestZeroDimSolve:
 
     def test_unit_in_system_gives_empty(self):
         assert zero_dim_solve([Z1, BiPoly.constant(2)]) == []
+
+
+class TestRowEvaluator:
+    """_eval_rows on _z2_rows(g) must give BiPoly.eval's floats bit for bit."""
+
+    @staticmethod
+    def _points(rng):
+        pts = [(0j, 0j), (-0.0 + 0j, complex(-1.5, -0.0)), (1 + 0j, -1 + 0j)]
+        for _ in range(12):
+            pts.append(
+                (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                 complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            )
+        return pts
+
+    def _check(self, g, rng):
+        rows = _z2_rows(g)
+        for x1, x2 in self._points(rng):
+            got, want = _eval_rows(rows, x1, x2), g.eval(x1, x2)
+            assert got == want and repr(got) == repr(want), (g, x1, x2)
+
+    def test_seeded_random_polynomials(self):
+        rng = random.Random("eval-rows")
+        for _ in range(60):
+            g = BiPoly(
+                {
+                    (rng.randint(0, 6), rng.randint(0, 5)): GaussRational(
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                    )
+                    for _ in range(rng.randint(1, 8))
+                }
+            )
+            self._check(g, rng)
+
+    def test_sparse_rows_and_constants(self):
+        rng = random.Random("eval-rows-sparse")
+        cases = [
+            BiPoly.zero(),
+            BiPoly.constant(GaussRational(Fraction(-3, 7), Fraction(2, 3))),
+            Z1**5 - 2,  # zero middle coefficients in the only row
+            Z2**4 + GaussRational(0, 1),  # empty z2-rows 1..3
+            Z1**3 * Z2**3 - Z2 + Fraction(1, 3),  # empty row 2, sparse row 3
+        ]
+        rows = [_z2_rows(g) for g in cases]
+        assert rows[0] == [] and rows[3][1] == rows[3][2] == []
+        for g in cases:
+            self._check(g, rng)
 
 
 class TestDecomposeIdeal:

@@ -10,7 +10,8 @@ rewrite the files with
 
 and review the diff of tests/golden/ before committing it.  The last
 digits of the floats depend on the numpy and scipy builds; the files were
-written with numpy 2.4 and scipy 1.17.
+written with numpy 2.4 and scipy 1.17, the versions .github/constraints.txt
+pins for the CI leg on Python 3.11.
 """
 
 from __future__ import annotations
