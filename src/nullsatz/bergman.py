@@ -25,7 +25,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import qmc
 
 from .polyalg import BiPoly, poly_to_json
-from .rootfind import _horner
+from .rootfind import _horner2
 
 R_GRID_DEFAULT = (0.51, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 RATIO_SAMPLES = 20_000
@@ -36,6 +36,7 @@ DENOM_FLOOR = 1e-14
 RANK_RCOND = 1e-12
 BOUNDARY_FRACTION = 0.25
 CORNER_PHASES = 128
+MAX_SHELLS = 200_000
 
 
 class DomainError(ValueError):
@@ -179,8 +180,7 @@ def norm_sq(f: BiPoly, table: MonomialNormTable) -> float:
     return inner(f, f, table).real
 
 
-def kernel_diag(domain: DomainSpec, w: tuple[complex, complex],
-                tol: float = 1e-12, max_shells: int = 200_000) -> float:
+def kernel_diag(domain: DomainSpec, w: tuple[complex, complex], tol: float = 1e-12) -> float:
     """Reproducing-kernel diagonal K(w, w) = sum |w1|^2a |w2|^2b / nu_ab.
 
     Summed by total-degree shells until two consecutive shells each add less
@@ -198,7 +198,7 @@ def kernel_diag(domain: DomainSpec, w: tuple[complex, complex],
     l2 = math.log(r2) if r2 > 0 else -math.inf
     total = 0.0
     quiet = 0
-    for s in range(max_shells + 1):
+    for s in range(MAX_SHELLS + 1):
         a = np.arange(s + 1)
         b = s - a
         keep = np.ones(s + 1, dtype=bool)
@@ -224,15 +224,14 @@ def kernel_diag(domain: DomainSpec, w: tuple[complex, complex],
         else:
             quiet = 0
     raise DomainError(
-        f"kernel series did not settle within {max_shells} shells "
+        f"kernel series did not settle within {MAX_SHELLS} shells "
         f"(gauge {gauge:.6g} too close to 1?)"
     )
 
 
-def kernel_lower_bound(domain: DomainSpec, w: tuple[complex, complex],
-                       tol: float = 1e-12) -> float:
+def kernel_lower_bound(domain: DomainSpec, w: tuple[complex, complex]) -> float:
     """K(w,w)^{-1/2}: no function with f(w)=0 gets closer to 1 than this."""
-    return 1.0 / math.sqrt(kernel_diag(domain, w, tol))
+    return 1.0 / math.sqrt(kernel_diag(domain, w))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +321,7 @@ def _warn_rank(R: np.ndarray, N_max: int) -> None:
 
 def eval_grid(f: BiPoly, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Evaluate f at paired sample arrays (vectorized double Horner)."""
-    z1 = np.asarray(z1, dtype=np.complex128)
-    z2 = np.asarray(z2, dtype=np.complex128)
-    C = f.coeff_matrix()
-    # one z1 pass per z2 power keeps every temporary the size of z1; a
-    # single pass over all powers at once is slower and larger at 10^5 samples
-    return _horner([_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
+    return _horner2(f.coeff_matrix(), z1, z2)
 
 
 def sample_closure(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +564,6 @@ def density_certificate(
     zero_w: tuple[complex, complex] | None = None,
     mc_samples: int = MC_SAMPLES,
     seed: int = 0,
-    dense_tol: float = DENSE_TOL,
 ) -> DensityCertificate:
     """Assemble the density observables for the principal ideal of p.
 
@@ -612,12 +605,12 @@ def density_certificate(
         kernel_bound = kernel_lower_bound(domain, (w1, w2))
 
     dmin = min(d for _, d in profile)
-    if dmin <= dense_tol and kernel_bound is not None:
+    if dmin <= DENSE_TOL and kernel_bound is not None:
         raise ArithmeticError(
             f"inconsistent evidence: d_N reached {dmin:.3g} but kernel bound "
             f"{kernel_bound:.3g} forbids density"
         )
-    if dmin <= dense_tol:
+    if dmin <= DENSE_TOL:
         status = STATUS_DENSE
     elif kernel_bound is not None:
         status = STATUS_NOT_DENSE

@@ -36,6 +36,7 @@ from .rootfind import (
     RootSet,
     TrackError,
     _horner,
+    _horner2,
     _UnionFind,
     all_roots,
     loop_samples,
@@ -49,6 +50,7 @@ TOL_WITNESS = 1e-8
 CLEARANCE = 0.05
 MAX_BASE_ATTEMPTS = 12
 POINT_CLUSTER = 1e-7
+NEWTON_ITERS = 30
 
 
 class DecomposeError(RuntimeError):
@@ -73,10 +75,7 @@ class CurveComponent:
     vertical: bool = False
 
     def eval_defining(self, z1, z2):
-        z1 = np.asarray(z1, dtype=np.complex128)
-        z2 = np.asarray(z2, dtype=np.complex128)
-        C = self.defining
-        return _horner([_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
+        return _horner2(self.defining, z1, z2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,7 +215,6 @@ def _monodromy_components(
     pp: BiPoly,
     seed: int,
     resolution: int,
-    tol_witness: float,
 ) -> list[CurveComponent]:
     m = pp.deg2
     branch = _branch_candidates(pp)
@@ -251,8 +249,7 @@ def _monodromy_components(
                     uf.union(i, j)
             orbits = uf.groups()
             return _build_components(
-                parent, pp, fp, lc, base, fiber0, orbits, branch, pair_min,
-                rng, resolution, tol_witness,
+                parent, pp, fp, lc, base, fiber0, orbits, branch, pair_min, rng, resolution
             )
         except (TrackError, DecomposeError) as exc:
             last_err = exc
@@ -275,13 +272,12 @@ def _build_components(
     pair_min: float,
     rng: np.random.Generator,
     resolution: int,
-    tol_witness: float,
 ) -> list[CurveComponent]:
     base_fiber = fiber0.as_array()
     scale = _coeff_scale(parent)
     for r in base_fiber:
         resid = abs(parent.eval(complex(base), complex(r)))
-        if resid > tol_witness * scale * (1.0 + abs(base)) ** parent.deg1:
+        if resid > TOL_WITNESS * scale * (1.0 + abs(base)) ** parent.deg1:
             raise DecomposeError(f"witness residual {resid:.3g} too large at base")
 
     n_orbits = len(orbits)
@@ -359,7 +355,6 @@ def decompose_curve(
     g: BiPoly,
     seed: int = 0,
     resolution: int = 1,
-    tol_witness: float = TOL_WITNESS,
 ) -> list[CurveComponent]:
     """Irreducible components of the plane curve V(g).
 
@@ -380,9 +375,7 @@ def decompose_curve(
         if cont.degree >= 1:
             comps.extend(_vertical_components(factor, cont))
         if pp.deg2 >= 1:
-            comps.extend(
-                _monodromy_components(factor, pp, seed, resolution, tol_witness)
-            )
+            comps.extend(_monodromy_components(factor, pp, seed, resolution))
     return comps
 
 
@@ -408,13 +401,13 @@ def _eval_rows(rows: list[list[complex]], x1: complex, x2: complex) -> complex:
 
 
 def _newton_refine(
-    system: list[list[list[complex]]], z0: tuple[complex, complex], iters: int = 30
+    system: list[list[list[complex]]], z0: tuple[complex, complex]
 ) -> tuple[complex, complex]:
     """Newton on gA = gB = 0; system holds the _z2_rows of gA, gB, d/dz1 gA,
     d/dz2 gA, d/dz1 gB and d/dz2 gB, in that order."""
     A, B, A1, A2, B1, B2 = system
     z = np.array([complex(z0[0]), complex(z0[1])])
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         x1, x2 = complex(z[0]), complex(z[1])
         F = np.array([_eval_rows(A, x1, x2), _eval_rows(B, x1, x2)])
         J = np.array(
@@ -433,15 +426,13 @@ def _newton_refine(
     return complex(z[0]), complex(z[1])
 
 
-def zero_dim_solve(
-    generators: list[BiPoly], tol_point: float = TOL_POINT
-) -> list[IsolatedPoint]:
+def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
     """Common zeros of a system with trivial gcd (the point part).
 
     Candidate z1 values come from a z2-free generator when one exists,
     otherwise from the first nonzero pair resultant; z2 values from the
     univariate slices above each candidate; Newton refinement on the chosen
-    pair; acceptance requires every generator residual below tol_point.
+    pair; acceptance requires every generator residual below TOL_POINT.
     """
     gens = [g for g in generators if not g.is_zero]
     if len(gens) < 2:
@@ -511,7 +502,7 @@ def zero_dim_solve(
         for beta in beta_cands:
             zt = _newton_refine(system, (alpha, beta))
             resid = tuple(abs(_eval_rows(rows, *zt)) for rows in gen_rows)
-            if max(resid) < tol_point:
+            if max(resid) < TOL_POINT:
                 if all(
                     max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
                     > POINT_CLUSTER
@@ -534,12 +525,7 @@ def zero_dim_solve(
 # ---------------------------------------------------------------------------
 
 
-def decompose_ideal(
-    generators: list[BiPoly],
-    seed: int = 0,
-    resolution: int = 1,
-    tol_point: float = TOL_POINT,
-) -> VarietyDecomposition:
+def decompose_ideal(generators: list[BiPoly], seed: int = 0) -> VarietyDecomposition:
     """Split V(generators) into curve components and isolated points.
 
     The gcd of the generators carries the curve part; the cofactors carry
@@ -553,7 +539,7 @@ def decompose_ideal(
 
     comps: list[CurveComponent] = []
     if not g.is_constant:
-        comps = decompose_curve(g, seed=seed, resolution=resolution)
+        comps = decompose_curve(g, seed=seed)
         residual = [h for h in (exact_div(gi, g) for gi in gens) if not h.is_constant]
     else:
         residual = list(gens)
@@ -562,14 +548,14 @@ def decompose_ideal(
     # isolated points
     points: list[IsolatedPoint] = []
     if len(residual) == len(gens) >= 2:
-        points = zero_dim_solve(residual, tol_point=tol_point)
+        points = zero_dim_solve(residual)
         if not g.is_constant:
             gscale = _coeff_scale(g)
             points = [
                 pt
                 for pt in points
                 if abs(g.eval(pt.location[0], pt.location[1]))
-                > tol_point * gscale * 10.0
+                > TOL_POINT * gscale * 10.0
             ]
 
     return VarietyDecomposition(

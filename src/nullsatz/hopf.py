@@ -29,6 +29,7 @@ from .polyalg import BiPoly, poly_to_json
 TOL_CIRCLE = 1e-6
 ALPHA_GRID = 4096
 MAX_TRIALS = 512
+GOLDEN_ITERS = 48
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -102,12 +103,12 @@ def _circle_values(C: np.ndarray, grid: int) -> np.ndarray:
     return np.fft.ifft(C, n=grid) * grid
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
+def _golden_min(fun, lo: float, hi: float) -> tuple[float, float]:
     inv = 1.0 / _GOLDEN
     x1 = hi - (hi - lo) * inv
     x2 = lo + (hi - lo) * inv
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - (hi - lo) * inv
@@ -157,7 +158,6 @@ def find_rotation(
     f: BiPoly,
     seed: int = 0,
     tol_circle: float = TOL_CIRCLE,
-    max_trials: int = MAX_TRIALS,
     alpha_grid: int = ALPHA_GRID,
 ) -> HopfRotation:
     """Search the sphere of circles for one avoiding the zero set of f.
@@ -178,8 +178,8 @@ def find_rotation(
         return circle_min_modulus(f, a, b, grid=alpha_grid, refine=False)[0]
 
     best_theta, best_phi, best_val = 0.0, 0.0, -1.0
-    for i in range(max_trials):
-        z = 1.0 - 2.0 * (i + 0.5) / max_trials
+    for i in range(MAX_TRIALS):
+        z = 1.0 - 2.0 * (i + 0.5) / MAX_TRIALS
         theta = math.acos(max(-1.0, min(1.0, z)))
         phi = math.fmod(2.0 * math.pi * i / _GOLDEN + phase, 2.0 * math.pi)
         v = objective(theta, phi)
@@ -212,7 +212,7 @@ def find_rotation(
         min_modulus=min_mod,
         trace={
             "seed": seed,
-            "trials": max_trials,
+            "trials": MAX_TRIALS,
             "alpha_grid": alpha_grid,
             "polish_steps": polish_steps,
             "argmin_t": t_min,

@@ -229,7 +229,6 @@ def intersect_curve(
     domain: DomainSpec,
     delta: float = DELTA,
     pitch: float = GRID_PITCH,
-    refine: bool = True,
 ) -> IntersectionResult:
     """Minimize the gauge over one curve component.
 
@@ -270,25 +269,23 @@ def intersect_curve(
             trace={**trace, "note": "no sheet values found over the disk"},
         )
 
-    if refine:
+    def objective(xy):
+        z1 = complex(xy[0], xy[1])
+        phi, _ = _sheet_phis(fiber, domain, np.array([z1]))
+        return phi
 
-        def objective(xy):
-            z1 = complex(xy[0], xy[1])
-            phi, _ = _sheet_phis(fiber, domain, np.array([z1]))
-            return phi
-
-        res = minimize(
-            objective,
-            x0=[best[0].real, best[0].imag],
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 200},
-        )
-        trace["refine_steps"] = int(res.nit)
-        if res.fun < best_phi:
-            z1r = complex(res.x[0], res.x[1])
-            _, cand = _sheet_phis(fiber, domain, np.array([z1r]))
-            if cand is not None:
-                best_phi, best = float(res.fun), cand
+    res = minimize(
+        objective,
+        x0=[best[0].real, best[0].imag],
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 200},
+    )
+    trace["refine_steps"] = int(res.nit)
+    if res.fun < best_phi:
+        z1r = complex(res.x[0], res.x[1])
+        _, cand = _sheet_phis(fiber, domain, np.array([z1r]))
+        if cand is not None:
+            best_phi, best = float(res.fun), cand
 
     # polish the candidate onto the exact curve before judging
     _, pp = content_pp_z2(comp.parent)

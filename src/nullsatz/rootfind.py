@@ -69,6 +69,15 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     return acc
 
 
+def _horner2(C: np.ndarray, z1, z2) -> np.ndarray:
+    """sum C[a, b] z1^a z2^b at paired points z1, z2 (double Horner)."""
+    z1 = np.asarray(z1, dtype=np.complex128)
+    z2 = np.asarray(z2, dtype=np.complex128)
+    # one z1 pass per z2 power keeps every temporary the size of z1; a
+    # single pass over all powers at once is slower and larger at 10^5 samples
+    return _horner([_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
+
+
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -91,11 +100,7 @@ class _UnionFind:
         return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
-def _aberth_batch(
-    coeffs: np.ndarray,
-    tol_res: float = TOL_RES,
-    max_sweeps: int = MAX_SWEEPS,
-):
+def _aberth_batch(coeffs: np.ndarray):
     """Aberth–Ehrlich on a batch of same-degree polynomials.
 
     coeffs: (B, n+1) ascending complex, leading column nonzero.
@@ -124,7 +129,7 @@ def _aberth_batch(
 
     done = np.zeros((B, n), dtype=bool)
     for attempt in range(3):
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             p = _horner(P, x)
             dp = _horner(dP, x)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,7 +146,7 @@ def _aberth_batch(
             x = x - w
             presid = np.abs(_horner(P, x)) * np.abs(lead)[:, None]
             small_step = np.abs(w) <= 1e-15 * (1.0 + np.abs(x))
-            done = done | (presid <= tol_res * scale[:, None]) | small_step
+            done = done | (presid <= TOL_RES * scale[:, None]) | small_step
             if done.all():
                 break
         if done.all():
@@ -213,14 +218,14 @@ class RootSet:
         return max(self.residuals, default=0.0)
 
 
-def all_roots(
-    f, tol_res: float = TOL_RES, max_sweeps: int = MAX_SWEEPS
-) -> RootSet:
+def all_roots(f) -> RootSet:
     """Every complex root of f, by Aberth–Ehrlich simultaneous iteration.
 
     f may be a UniPoly or an ascending complex coefficient array.  Requires
-    degree >= 1 and a leading coefficient above the degeneracy threshold.
-    Raises RootFindError (carrying the best iterate) on non-convergence.
+    degree >= 1; a float array also needs a leading coefficient above the
+    degeneracy threshold (an exact UniPoly's is nonzero however small it is
+    next to the others).  Raises RootFindError (carrying the best iterate)
+    on non-convergence.
     """
     a = _as_coeff_array(f)
     while a.size > 1 and a[-1] == 0:
@@ -228,9 +233,9 @@ def all_roots(
     n = a.size - 1
     if n < 1:
         raise ValueError("all_roots needs degree >= 1")
-    if abs(a[-1]) <= LEAD_DEGENERACY * np.max(np.abs(a)):
+    if not isinstance(f, UniPoly) and abs(a[-1]) <= LEAD_DEGENERACY * np.max(np.abs(a)):
         raise ValueError("leading coefficient below degeneracy threshold")
-    roots, res, ok = _aberth_batch(a[None, :], tol_res, max_sweeps)
+    roots, res, ok = _aberth_batch(a[None, :])
     if not ok.all():
         bad = ~ok[0]
         raise RootFindError(
@@ -278,9 +283,7 @@ class FiberPoly:
         return self.coeff_rows(np.array([z1]))[0]
 
 
-def solve_fibers(
-    fp: FiberPoly, z1s: np.ndarray, tol_res: float = TOL_RES
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def solve_fibers(fp: FiberPoly, z1s: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Roots in z2 above each z1 sample; tolerant of degree drops.
 
     Near-vanishing leading coefficients are stripped (those roots escape to
@@ -302,7 +305,7 @@ def solve_fibers(
             continue
         sel = np.nonzero(eff_deg == d)[0]
         batch = rows[sel, : d + 1]
-        r, _, ok = _aberth_batch(batch, tol_res)
+        r, _, ok = _aberth_batch(batch)
         for i, r_i, ok_i in zip(sel.tolist(), r, ok):
             roots_out[i] = r_i
             conv_out[i] = ok_i
@@ -400,7 +403,7 @@ def _step_ok(cur: np.ndarray, new: np.ndarray) -> bool:
     return moved < SEPARATION_FACTOR * sep
 
 
-def _fiber_at(fp: FiberPoly, z1: complex, tol_res: float = TOL_RES) -> np.ndarray:
+def _fiber_at(fp: FiberPoly, z1: complex) -> np.ndarray:
     row = fp.coeffs_at(z1)
     top = np.max(np.abs(row))
     if top == 0 or abs(row[-1]) <= LEAD_DEGENERACY * top:
@@ -408,19 +411,17 @@ def _fiber_at(fp: FiberPoly, z1: complex, tol_res: float = TOL_RES) -> np.ndarra
             f"leading z2-coefficient degenerates at z1={z1:.6g}; "
             "path passes too close to a pole of the fiber"
         )
-    roots, res, ok = _aberth_batch(row[None, :], tol_res)
+    roots, res, ok = _aberth_batch(row[None, :])
     if not ok.all():
         raise TrackError(f"fiber solve failed to converge at z1={z1:.6g}")
     return roots[0]
 
 
-def _newton_fiber(
-    fp: FiberPoly, z1: complex, start: np.ndarray, tol_res: float = TOL_RES
-) -> np.ndarray | None:
+def _newton_fiber(fp: FiberPoly, z1: complex, start: np.ndarray) -> np.ndarray | None:
     """Warm corrector: batched Newton on every sheet, starting from start.
 
     Returns the corrected fiber, row-aligned with start, once every residual
-    |p(x)| is at most tol_res * (1 + max|coeff|), the test _aberth_batch
+    |p(x)| is at most TOL_RES * (1 + max|coeff|), the test _aberth_batch
     uses; None if NEWTON_STEPS steps do not get there or the leading
     coefficient degenerates.
     """
@@ -428,7 +429,7 @@ def _newton_fiber(
     top = np.max(np.abs(row))
     if top == 0 or abs(row[-1]) <= LEAD_DEGENERACY * top:
         return None
-    limit = tol_res * (1.0 + top)
+    limit = TOL_RES * (1.0 + top)
     drow = row[1:] * np.arange(1, row.size)
     # the powers of every sheet give p and p' as two products
     x = start
@@ -442,13 +443,7 @@ def _newton_fiber(
     return None
 
 
-def track(
-    f,
-    path,
-    fiber0: RootSet | None = None,
-    tol_res: float = TOL_RES,
-    max_bisections: int = MAX_BISECTIONS,
-) -> TrackedPath:
+def track(f, path, fiber0: RootSet | None = None) -> TrackedPath:
     """Transport the z2-root fiber of f along a path of z1 samples.
 
     f is a BiPoly or FiberPoly; path an array of complex z1 values (closed
@@ -475,7 +470,7 @@ def track(
         if cur.size != fp.deg2:
             raise ValueError("fiber0 does not match the z2-degree")
     else:
-        cur = _fiber_at(fp, path[0], tol_res)
+        cur = _fiber_at(fp, path[0])
         cold_solves += 1
 
     samples = [path[0]]
@@ -487,17 +482,17 @@ def track(
         stack = [(path[seg_end_idx - 1], path[seg_end_idx], 0, final)]
         while stack:
             a, b, depth, final = stack.pop()
-            new = None if final else _newton_fiber(fp, b, cur, tol_res)
+            new = None if final else _newton_fiber(fp, b, cur)
             if new is None or not _step_ok(cur, new):
-                new = _fiber_at(fp, b, tol_res)
+                new = _fiber_at(fp, b)
                 cold_solves += 1
                 cost = np.abs(cur[:, None] - new[None, :])
                 rows, cols = linear_sum_assignment(cost)
                 new = new[cols[np.argsort(rows)]]
                 if not _step_ok(cur, new):
-                    if depth >= max_bisections:
+                    if depth >= MAX_BISECTIONS:
                         raise TrackError(
-                            f"pairing stayed ambiguous after {max_bisections} "
+                            f"pairing stayed ambiguous after {MAX_BISECTIONS} "
                             f"bisections near z1={b:.6g}"
                         )
                     mid = 0.5 * (a + b)

@@ -174,8 +174,13 @@ class TestErrorPaths:
                 main(argv)
             assert exc.value.code == 2
 
-    def test_root_find_failure_exits_ten(self, capsys, tmp_path):
-        path = write_poly(tmp_path, "p.json", Z2**6 + Z1**5 * Z2 + Z1**5 - 10)
+    @pytest.mark.parametrize(
+        "f",
+        [Z2**6 + Z1**5 * Z2 + Z1**5 - 10, Z2**7 + Z1**6 * Z2 + Z1**6 - 100],
+        ids=["deg6", "deg7"],
+    )
+    def test_root_find_failure_exits_ten(self, capsys, tmp_path, f):
+        path = write_poly(tmp_path, "p.json", f)
         code, _, err = run(capsys, "decompose", "--poly", path)
         assert code == 10
         assert "root solve failed" in err

@@ -306,9 +306,16 @@ class TestClassify:
         assert [r.verdict for r in conic] == [INCONCLUSIVE]
         assert conic[0].trace["note"] == "polish left the component"
 
-    def test_root_find_failure_becomes_inconclusive(self):
-        # Aberth fails on the degree-30 discriminant of this DENSE curve
-        v = classify([Z2**6 + Z1**5 * Z2 + Z1**5 - 10], BALL, with_certificate=False)
+    @pytest.mark.parametrize(
+        "f",
+        [Z2**6 + Z1**5 * Z2 + Z1**5 - 10, Z2**7 + Z1**6 * Z2 + Z1**6 - 100],
+        ids=["deg6", "deg7"],
+    )
+    def test_root_find_failure_becomes_inconclusive(self, f):
+        # Aberth fails on the degree-30 and degree-42 discriminants of these
+        # DENSE curves; the degree-7 one spans more than 1e12 in coefficient
+        # magnitude, which an exact UniPoly may do
+        v = classify([f], BALL, with_certificate=False)
         assert v.overall in (DENSE, INCONCLUSIVE)
         if v.overall == INCONCLUSIVE:
             assert v.justification.startswith("decomposition failed")
