@@ -44,6 +44,8 @@ NEITHER = "NEITHER"
 DELTA = 1e-6
 GRID_PITCH = 0.01
 ONCOMP_TOL = 1e-6
+# every _COARSE_STRIDE-th grid sample is solved first to bound the minimum
+_COARSE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,19 @@ def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
     return float(row_min[k]), (complex(z1s[k]), complex(R[k, j[k]]))
 
 
+def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, grid: np.ndarray):
+    """_sheet_phis(fiber, domain, grid), solving only the samples that can matter.
+
+    A coarse pass over every _COARSE_STRIDE-th sample gives coarse_phi, which
+    is at least the minimum over the grid.  A sample with |z1|^p > coarse_phi
+    has phi >= |z1|^p > coarse_phi (adding |z2|^q >= 0 cannot round below
+    |z1|^p), so it can neither win nor tie; the full pass runs on the other
+    samples, in grid order, and returns the same (best_phi, best).
+    """
+    coarse_phi, _ = _sheet_phis(fiber, domain, grid[::_COARSE_STRIDE])
+    return _sheet_phis(fiber, domain, grid[domain.z1_terms(grid) <= coarse_phi])
+
+
 def _newton_z2(coeffs: np.ndarray, z2: complex, iters: int = 12) -> complex:
     """Polish a z2 root of an ascending univariate slice."""
     d = np.arange(1, coeffs.size) * coeffs[1:]
@@ -251,7 +266,7 @@ def intersect_curve(
 
     fiber = FiberPoly(comp.defining)
     grid = _disk_grid(pitch)
-    best_phi, best = _sheet_phis(fiber, domain, grid)
+    best_phi, best = _pruned_scan(fiber, domain, grid)
     trace = {
         "method": "grid+descent",
         "grid_points": int(grid.size),
@@ -271,6 +286,8 @@ def intersect_curve(
 
     def objective(xy):
         z1 = complex(xy[0], xy[1])
+        if abs(z1) > 1.0:  # phi > 1 there; keep the descent inside the disk
+            return np.inf
         phi, _ = _sheet_phis(fiber, domain, np.array([z1]))
         return phi
 

@@ -13,6 +13,11 @@ half the minimum root separation or more, the parameter step is bisected.
 The last sample of every path is always solved cold, so the end fiber does
 not depend on the corrector.
 
+A batch sweeps only its rows that are still moving: a row whose roots
+have all converged is frozen, so once half of the working rows are frozen
+they are written back and retired.  Rows never interact, so every row
+comes out bit for bit as it would when solved alone.
+
 Everything is deterministic for fixed inputs; no RNG is used.
 """
 
@@ -100,11 +105,46 @@ class _UnionFind:
         return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
+def _aberth_sweep(P, dP, x, done, lead, scale):
+    """One Aberth–Ehrlich sweep over the rows of x; returns (x, done).
+
+    P and dP hold the monic rows and their derivatives with the power on
+    axis 0 (see _aberth_batch).  Roots already done do not move, so a row
+    whose roots are all done comes back bit for bit.
+    """
+    n = x.shape[1]
+    diag = np.arange(n)
+    p = _horner(P, x)
+    dp = _horner(dP, x)
+    newton = p / dp
+    diff = x[:, :, None] - x[:, None, :]
+    diff[:, diag, diag] = np.inf
+    repulse = np.sum(1.0 / diff, axis=2)
+    w = newton / (1.0 - newton * repulse)
+    bad = ~np.isfinite(w)
+    if bad.any():
+        # escape coincident iterates with a deterministic nudge
+        w = np.where(bad, 1e-6 * (1.0 + np.abs(x)) * np.exp(0.91j), w)
+    w = np.where(done, 0.0, w)
+    x = x - w
+    presid = np.abs(_horner(P, x)) * np.abs(lead)[:, None]
+    small_step = np.abs(w) <= 1e-15 * (1.0 + np.abs(x))
+    return x, done | (presid <= TOL_RES * scale[:, None]) | small_step
+
+
+@np.errstate(all="ignore")
 def _aberth_batch(coeffs: np.ndarray):
     """Aberth–Ehrlich on a batch of same-degree polynomials.
 
     coeffs: (B, n+1) ascending complex, leading column nonzero.
     Returns (roots (B, n), residuals (B, n), converged (B, n) bool).
+
+    Rows are independent, so a row comes out bit for bit as it would alone.
+    A row whose roots have all converged no longer moves, so the sweeps run
+    on the rows still moving only: once at least half of them have finished,
+    the finished rows are written back and dropped from the working set.
+    Floating-point overflow on wild inputs is silent; such roots simply do
+    not converge.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     B, n1 = coeffs.shape
@@ -125,30 +165,26 @@ def _aberth_batch(coeffs: np.ndarray):
     cauchy = 1.0 + np.max(np.abs(mono[:, :-1]), axis=1)
     angles = 2.0 * np.pi * np.arange(n) / n + 0.37659
     x = cauchy[:, None] * np.exp(1j * angles)[None, :]
-    diag = np.arange(n)
 
     done = np.zeros((B, n), dtype=bool)
     for attempt in range(3):
+        # the working set: the rows still moving, with their own coefficients
+        act = np.flatnonzero(~done.all(axis=1))
+        xa, da, Pa, dPa, lead_a, scale_a = x, done, P, dP, lead, scale
+        if act.size < B:  # a copy of every row would only raise the peak memory
+            xa, da = x[act], done[act]
+            Pa, dPa, lead_a, scale_a = P[:, act], dP[:, act], lead[act], scale[act]
         for _ in range(MAX_SWEEPS):
-            p = _horner(P, x)
-            dp = _horner(dP, x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = p / dp
-                diff = x[:, :, None] - x[:, None, :]
-                diff[:, diag, diag] = np.inf
-                repulse = np.sum(1.0 / diff, axis=2)
-                w = newton / (1.0 - newton * repulse)
-            bad = ~np.isfinite(w)
-            if bad.any():
-                # escape coincident iterates with a deterministic nudge
-                w = np.where(bad, 1e-6 * (1.0 + np.abs(x)) * np.exp(0.91j), w)
-            w = np.where(done, 0.0, w)
-            x = x - w
-            presid = np.abs(_horner(P, x)) * np.abs(lead)[:, None]
-            small_step = np.abs(w) <= 1e-15 * (1.0 + np.abs(x))
-            done = done | (presid <= TOL_RES * scale[:, None]) | small_step
-            if done.all():
+            xa, da = _aberth_sweep(Pa, dPa, xa, da, lead_a, scale_a)
+            fin = da.all(axis=1)
+            if fin.all():
                 break
+            if 2 * np.count_nonzero(fin) >= fin.size:  # retire the finished rows
+                x[act], done[act] = xa, da
+                keep = ~fin
+                act, xa, da = act[keep], xa[keep], da[keep]
+                Pa, dPa, lead_a, scale_a = Pa[:, keep], dPa[:, keep], lead_a[keep], scale_a[keep]
+        x[act], done[act] = xa, da
         if done.all():
             break
         # restart stragglers from a rotated circle
@@ -167,8 +203,7 @@ def _aberth_batch(coeffs: np.ndarray):
             ddp = _horner(ddcoeffs.T[:, :, None], x)
         else:
             ddp = np.zeros_like(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p * dp / (dp * dp - p * ddp)
+        step = p * dp / (dp * dp - p * ddp)
         ok_step = np.isfinite(step) & done & (
             np.abs(step) <= 1e-3 * (1.0 + np.abs(x))
         )

@@ -23,7 +23,7 @@ from nullsatz.nullsatz import (
     intersect_curve,
     intersect_point,
 )
-from nullsatz.polyalg import BiPoly
+from nullsatz.polyalg import BiPoly, GaussRational
 from nullsatz.rootfind import FiberPoly, solve_fibers
 
 Z1 = BiPoly.var(1)
@@ -178,6 +178,89 @@ class TestSheetScan:
         assert ns._sheet_phis(fiber, BALL, np.array([0j])) == (np.inf, None)
 
 
+# curve components of the acceptance corpus: the parabola z2^2 = z1 and the
+# line z2 = 2 of its NEITHER ideal, and the two lines z2 = +-z1
+CORPUS_COMPONENTS = {
+    f"{name}.c{k}": comp
+    for name, poly in (("parabola_line", (Z2**2 - Z1) * (Z2 - 2)),
+                       ("twolines", Z2**2 - Z1**2))
+    for k, comp in enumerate(decompose_curve(poly))
+}
+
+
+@pytest.fixture
+def scanned_sizes(monkeypatch):
+    """The number of samples of every _sheet_phis call the test makes."""
+    sizes = []
+    scan = ns._sheet_phis
+
+    def spy(fiber, domain, z1s):
+        sizes.append(z1s.size)
+        return scan(fiber, domain, z1s)
+
+    monkeypatch.setattr(ns, "_sheet_phis", spy)
+    return sizes
+
+
+class TestPrunedScan:
+    """The |z1|^p-pruned scan returns exactly what the full grid scan does."""
+
+    @staticmethod
+    def assert_same_as_full(fiber, domain, z1s, sizes):
+        got = ns._pruned_scan(fiber, domain, z1s)
+        solved = sizes[:]
+        want = ns._sheet_phis(fiber, domain, z1s)
+        assert type(got[0]) is type(want[0]) is float
+        assert got == want
+        assert solved[0] == z1s[:: ns._COARSE_STRIDE].size
+        return want, solved[1]
+
+    @pytest.mark.parametrize(
+        "domain", [BALL, OMEGA11, OMEGA13], ids=["ball", "omega11", "omega13"]
+    )
+    @pytest.mark.parametrize("name", sorted(CORPUS_COMPONENTS))
+    def test_corpus_components(self, name, domain, scanned_sizes):
+        comp = CORPUS_COMPONENTS[name]
+        grid = ns._disk_grid(ns.GRID_PITCH)
+        (best_phi, _), fine = self.assert_same_as_full(
+            FiberPoly(comp.defining), domain, grid, scanned_sizes
+        )
+        if best_phi > 1.0:  # the line z2 = 2 misses: |z1|^p <= 1 < coarse_phi
+            assert fine == grid.size
+        else:
+            assert fine < grid.size / 2
+
+    def test_full_grid(self, scanned_sizes):
+        comp, = decompose_curve(Z2**3 - Z1 * Z2 + Z1**2 - Fraction(1, 2))
+        grid = ns._disk_grid(ns.GRID_PITCH)
+        for domain in (BALL, OMEGA13):
+            scanned_sizes.clear()
+            _, fine = self.assert_same_as_full(
+                FiberPoly(comp.defining), domain, grid, scanned_sizes
+            )
+            assert fine < grid.size
+
+    @pytest.mark.parametrize("domain", [BALL, OMEGA31], ids=["ball", "omega31"])
+    def test_minimum_on_the_bound_and_tied(self, domain, scanned_sizes):
+        # on z2 = 0 the gauge is |z1|^p alone, so the minimum sits exactly on
+        # the pruning bound; c, -c and conj(c) tie across rows.  c is the
+        # smallest |z1| at which numpy's array power rounds above its scalar
+        # power, if there is one, so only the scalar power keeps c
+        grid = ns._disk_grid(ns.GRID_PITCH)
+        grid = grid[grid != 0]
+        mod = np.abs(grid)
+        above = grid[mod**domain.p > domain.z1_terms(grid)]
+        pool = above if above.size else grid
+        c = pool[np.argmin(np.abs(pool))]
+        z1s = np.concatenate([[c, -c, np.conj(c)], grid[mod > abs(c)]])
+        (best_phi, best), fine = self.assert_same_as_full(
+            FiberPoly(Z2), domain, z1s, scanned_sizes
+        )
+        assert best_phi == domain.z1_terms(np.array([c]))[0]
+        assert best == (c, 0j)
+        assert fine == 3
+
+
 class TestAggregation:
     def reference(self, vs):
         if not vs:
@@ -290,6 +373,19 @@ class TestClassify:
         v = classify([f * (Z2 - quarter), f * (Z1 - quarter), f], BALL)
         assert v.overall == DENSE
         assert v.decomposition.points == ()
+
+    def test_descent_stays_in_the_disk(self):
+        # from its best grid point Nelder-Mead used to walk to z1 = 1.31 +
+        # 0.09i, near a triple root in z2, where the polish left the
+        # component and the verdict was INCONCLUSIVE
+        f = (Z2**3 + GaussRational(-1, Fraction(-1, 2)) * Z1**3
+             + GaussRational(0, -2) * Z1**2 + GaussRational(1, -2) * Z1
+             + GaussRational(0, Fraction(15, 2)))
+        v = classify([f], BALL, with_certificate=False)
+        assert v.overall == DENSE
+        r, = v.results
+        assert r.verdict == MISSES
+        assert abs(r.argmin[0]) <= 1.0
 
     def test_polish_off_the_component_is_inconclusive(self, monkeypatch):
         # Newton from z2 = 2 lands on the line's sheet, off the conic; judging

@@ -8,6 +8,7 @@ continuation of small radicals.
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from scipy.optimize import linear_sum_assignment
 from nullsatz import rootfind
 from nullsatz.polyalg import BiPoly, UniPoly
 from nullsatz.rootfind import (
+    MAX_SWEEPS,
     SEPARATION_FACTOR,
     FiberPoly,
     RootFindError,
     TrackedPath,
     TrackError,
+    _aberth_batch,
     _fiber_at,
     _min_separation,
     all_roots,
@@ -124,6 +127,92 @@ class TestAllRoots:
         b = all_roots(coeffs).roots
         assert a == b
         assert list(a) == sorted(a, key=lambda z: (z.real, z.imag))
+
+
+def aberth_rows(seed: int) -> np.ndarray:
+    """Degree-8 rows that finish at different sweeps, or never.
+
+    Gaussian rows converge in a few sweeps; rows with coefficients spread
+    over 1e-6..1e6, a triple root, z^8 + 1e25 z + 1 (its roots lie far
+    inside the starting circle, so it needs more than MAX_SWEEPS sweeps and a
+    restart) and z^8 + 1e30 z + 1 (overflows and never converges) take
+    longer.
+    """
+    rng = np.random.default_rng(seed)
+    degree = 8
+
+    def gauss():
+        return rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+
+    rows = [gauss() for _ in range(6)]
+    rows += [gauss() * 10.0 ** rng.uniform(-6, 6, degree + 1) for _ in range(4)]
+    triple = [0.5 - 1j] * 3 + list(rng.normal(size=degree - 3))
+    rows.append(np.poly(triple)[::-1])
+    for big in (1e25, 1e30):
+        rows.append(np.array([1.0, big] + [0.0] * (degree - 2) + [1.0]))
+    return np.array(rows, dtype=np.complex128)
+
+
+@pytest.fixture
+def sweep_rows(monkeypatch):
+    """The row count of every Aberth sweep that runs while the test does."""
+    counts = []
+    sweep = rootfind._aberth_sweep
+
+    def spy(P, dP, x, *args):
+        counts.append(x.shape[0])
+        return sweep(P, dP, x, *args)
+
+    monkeypatch.setattr(rootfind, "_aberth_sweep", spy)
+    return counts
+
+
+class TestAberthBatch:
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_stacked_rows_equal_rows_alone(self, seed, sweep_rows):
+        rows = aberth_rows(seed)
+        stacked = _aberth_batch(rows)
+        # the working set shrank while stragglers kept sweeping
+        assert max(sweep_rows) == rows.shape[0] > min(sweep_rows)
+        assert len(sweep_rows) > MAX_SWEEPS
+        conv = stacked[2].all(axis=1)
+        assert conv[:-1].all() and not conv[-1]
+        for i, row in enumerate(rows):
+            alone = _aberth_batch(row[None, :])
+            for got, want in zip(stacked, alone):
+                assert got[i].tobytes() == want[0].tobytes()
+
+    def test_restart_row_converges(self, sweep_rows):
+        row = aberth_rows(seed=8)[-2]
+        roots, _, ok = _aberth_batch(row[None, :])
+        assert len(sweep_rows) > MAX_SWEEPS  # the first attempt ran out
+        assert ok.all()
+        np.testing.assert_allclose(
+            np.sort(np.abs(roots[0])), np.sort(np.abs(np.roots(row[::-1]))), rtol=1e-9
+        )
+
+    def test_random_batches_equal_rows_alone(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            degree, size = int(rng.integers(2, 9)), int(rng.integers(2, 40))
+            scale = 10.0 ** rng.uniform(-6, 6, size=(size, 1))
+            rows = (rng.normal(size=(size, degree + 1))
+                    + 1j * rng.normal(size=(size, degree + 1))) * scale
+            stacked = _aberth_batch(rows)
+            for i, row in enumerate(rows):
+                alone = _aberth_batch(row[None, :])
+                for got, want in zip(stacked, alone):
+                    assert got[i].tobytes() == want[0].tobytes()
+
+    def test_overflow_is_silent(self):
+        # z^8 + 10^30 z + 1 overflows inside the sweeps and the polish
+        exact = UniPoly([1, 10**30] + [0] * 6 + [1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, ok = _aberth_batch(exact.to_complex()[None, :])
+            with pytest.raises(RootFindError):
+                all_roots(exact)
+        assert not ok.all()
 
 
 class TestSolveFibers:
