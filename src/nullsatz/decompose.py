@@ -216,6 +216,15 @@ def _monodromy_components(
     seed: int,
     resolution: int,
 ) -> list[CurveComponent]:
+    """The irreducible components of pp as monodromy orbits of its sheets.
+
+    A loop around each branch point, from a random base point, permutes the
+    base fiber; sheets that a loop exchanges are joined.  Joins are certain,
+    so once every sheet is in one orbit no later loop can change the
+    answer, and the remaining loops are not tracked (a factor of z2-degree 1
+    tracks none).  A TrackError or DecomposeError retries from a new base
+    point, up to MAX_BASE_ATTEMPTS.
+    """
     m = pp.deg2
     branch = _branch_candidates(pp)
     fp = FiberPoly(pp)
@@ -239,6 +248,8 @@ def _monodromy_components(
             fiber0 = all_roots(fp.coeffs_at(base))
             uf = _UnionFind(m)
             for b in branch:
+                if len(uf.groups()) == 1:  # one orbit: no loop can split it
+                    break
                 radius = min(0.4 * pair_min, 0.5 * abs(base - b))
                 petal = loop_samples(
                     base, b, radius,

@@ -31,7 +31,14 @@ from .decompose import (
     decompose_ideal,
 )
 from .polyalg import BiPoly, content_pp_z2
-from .rootfind import FiberPoly, TrackError, segment_samples, solve_fibers, track
+from .rootfind import (
+    TOL_RES,
+    FiberPoly,
+    TrackError,
+    segment_samples,
+    solve_fibers,
+    track,
+)
 
 INTERSECTS = "INTERSECTS"
 MISSES = "MISSES"
@@ -46,6 +53,10 @@ GRID_PITCH = 0.01
 ONCOMP_TOL = 1e-6
 # every _COARSE_STRIDE-th grid sample is solved first to bound the minimum
 _COARSE_STRIDE = 16
+# the root-modulus floor of the grid scan: bisection steps past its
+# closed-form start, and the relative margin it is shrunk by
+_FLOOR_BISECTIONS = 6
+_FLOOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,17 +184,57 @@ def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
     return float(row_min[k]), (complex(z1s[k]), complex(R[k, j[k]]))
 
 
+def _root_floor(rows: np.ndarray) -> np.ndarray:
+    """A lower bound on |z2| over the converged roots of each coefficient row.
+
+    rows: (B, m+1) ascending z2-coefficients a_0..a_m, m >= 1.  A root that
+    _aberth_sweep accepts has |p(x)| <= eps = TOL_RES * (1 + max|a_k|), so
+    S(|x|) >= |a_0| - eps for S(r) = sum_{k>=1} |a_k| r^k (Cauchy's lower
+    bound, with the accepted residual taken off |a_0|); any r with
+    S(r) < |a_0| - eps is therefore below |x|.  The search starts at
+    min_k ((|a_0| - eps) / (m |a_k|))^(1/k), where S is at most |a_0| - eps,
+    and bisects toward min_k ((|a_0| - eps) / |a_k|)^(1/k), moving only to
+    points where S is still below.  The result is shrunk by _FLOOR_MARGIN to
+    absorb rounding; a row whose floor comes out NaN or negative (|a_0| at
+    most eps) gets 0, and a row with no z2 terms gets inf, as it has no
+    roots.  Stripping a degenerate leading coefficient (solve_fibers) only
+    lowers S, so the floor holds for the truncated row too.
+    """
+    mag = np.abs(rows)
+    a0 = mag[:, 0] - TOL_RES * (1.0 + mag.max(axis=1))
+    ak = mag[:, 1:]
+    m = ak.shape[1]
+    k = np.arange(1, m + 1)
+    with np.errstate(all="ignore"):
+        lo = np.min((a0[:, None] / (m * ak)) ** (1.0 / k), axis=1)
+        hi = np.min((a0[:, None] / ak) ** (1.0 / k), axis=1)
+        for _ in range(_FLOOR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = np.sum(ak * mid[:, None] ** k, axis=1) < a0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        r = lo * (1.0 - _FLOOR_MARGIN)
+    return np.where(r > 0.0, r, 0.0)
+
+
 def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, grid: np.ndarray):
     """_sheet_phis(fiber, domain, grid), solving only the samples that can matter.
 
     A coarse pass over every _COARSE_STRIDE-th sample gives coarse_phi, which
-    is at least the minimum over the grid.  A sample with |z1|^p > coarse_phi
-    has phi >= |z1|^p > coarse_phi (adding |z2|^q >= 0 cannot round below
-    |z1|^p), so it can neither win nor tie; the full pass runs on the other
-    samples, in grid order, and returns the same (best_phi, best).
+    is at least the minimum over the grid.  Every root above a sample z1 has
+    |z2| >= r(z1), the _root_floor of its coefficient row, so phi >=
+    |z1|^p + r^q there.  A sample with |z1|^p + r^q > coarse_phi can neither
+    win nor tie: the margin keeps r below every root, so r^q cannot round
+    above |z2|^q, and |z1|^p is the z1_terms value phi_rows adds.  The full
+    pass runs on the other samples, in grid order, and returns the same
+    (best_phi, best).  With r = 0 this is the bound phi >= |z1|^p alone; the
+    floor is what prunes a component that misses the domain, where
+    |z1|^p <= 1 < phi everywhere.
     """
     coarse_phi, _ = _sheet_phis(fiber, domain, grid[::_COARSE_STRIDE])
-    return _sheet_phis(fiber, domain, grid[domain.z1_terms(grid) <= coarse_phi])
+    with np.errstate(over="ignore"):
+        bound = domain.z1_terms(grid) + _root_floor(fiber.coeff_rows(grid)) ** domain.q
+    return _sheet_phis(fiber, domain, grid[bound <= coarse_phi])
 
 
 def _newton_z2(coeffs: np.ndarray, z2: complex, iters: int = 12) -> complex:

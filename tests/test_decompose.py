@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nullsatz.decompose as dec
 from nullsatz.decompose import (
     CurveComponent,
     DecomposeError,
@@ -18,7 +19,8 @@ from nullsatz.decompose import (
     decompose_ideal,
     zero_dim_solve,
 )
-from nullsatz.polyalg import BiPoly, GaussRational
+from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2
+from nullsatz.rootfind import _UnionFind
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -73,6 +75,68 @@ class TestComponentCounts:
         comps = decompose_curve(Z1 * Z2**2 - 1)
         assert len(comps) == 1
         assert comps[0].deg_z2 == 2
+
+
+@pytest.fixture
+def loop_perms(monkeypatch):
+    """The sheet permutation of every closed loop decompose tracks, in order."""
+    perms = []
+    track = dec.track
+
+    def spy(fp, path, fiber0=None):
+        tp = track(fp, path, fiber0=fiber0)
+        # a loop closes up and goes somewhere; a leg to an interpolation node
+        # can have length zero
+        if abs(path[-1] - path[0]) <= 1e-12 < np.abs(path - path[0]).max():
+            perms.append(tp.loop_permutation())
+        return tp
+
+    monkeypatch.setattr(dec, "track", spy)
+    return perms
+
+
+def replay(perms, m):
+    """Orbit count after each loop when the loops' exchanges are joined."""
+    uf = _UnionFind(m)
+    counts = []
+    for perm in perms:
+        for i, j in enumerate(perm):
+            uf.union(i, j)
+        counts.append(len(uf.groups()))
+    return counts, uf.groups()
+
+
+def branch_count(poly):
+    return len(dec._branch_candidates(content_pp_z2(poly)[1]))
+
+
+class TestMonodromyExit:
+    """The loops stop once every sheet is in one orbit, and only then."""
+
+    @pytest.mark.parametrize(
+        "poly", [Z2**2 - Z1**3 + 1, Z2**3 - 3 * Z2 + Z1**3, Z2**4 - Z1 * Z2 + Z1**4 - 1]
+    )
+    def test_irreducible_stops_after_the_joining_loop(self, poly, loop_perms):
+        comp, = decompose_curve(poly)
+        counts, _ = replay(loop_perms, poly.deg2)
+        assert counts[-1] == 1 and all(c > 1 for c in counts[:-1])
+        assert len(loop_perms) < branch_count(poly)
+        assert comp.orbit == tuple(range(poly.deg2))
+
+    @pytest.mark.parametrize("poly,count", [pc for pc in COMPONENT_COUNTS if pc[1] > 1])
+    def test_reducible_tracks_every_loop(self, poly, count, loop_perms):
+        comps = decompose_curve(poly)
+        _, orbits = replay(loop_perms, poly.deg2)
+        assert len(loop_perms) == branch_count(poly)
+        assert sorted(c.orbit for c in comps) == orbits
+        assert len(orbits) == count
+
+    def test_degree_one_factor_tracks_no_loop(self, loop_perms):
+        # z1 z2 - 1 has a branch candidate at z1 = 0, its leading coefficient's root
+        assert branch_count(Z1 * Z2 - 1) == 1
+        comp, = decompose_curve(Z1 * Z2 - 1)
+        assert loop_perms == []
+        assert comp.orbit == (0,)
 
 
 class TestVerticalLines:

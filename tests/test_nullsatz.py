@@ -24,7 +24,7 @@ from nullsatz.nullsatz import (
     intersect_point,
 )
 from nullsatz.polyalg import BiPoly, GaussRational
-from nullsatz.rootfind import FiberPoly, solve_fibers
+from nullsatz.rootfind import TOL_RES, FiberPoly, solve_fibers
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -203,7 +203,7 @@ def scanned_sizes(monkeypatch):
 
 
 class TestPrunedScan:
-    """The |z1|^p-pruned scan returns exactly what the full grid scan does."""
+    """The pruned scan returns exactly what the full grid scan does."""
 
     @staticmethod
     def assert_same_as_full(fiber, domain, z1s, sizes):
@@ -225,8 +225,8 @@ class TestPrunedScan:
         (best_phi, _), fine = self.assert_same_as_full(
             FiberPoly(comp.defining), domain, grid, scanned_sizes
         )
-        if best_phi > 1.0:  # the line z2 = 2 misses: |z1|^p <= 1 < coarse_phi
-            assert fine == grid.size
+        if best_phi > 1.0:  # the line z2 = 2 misses: only the root floor prunes
+            assert fine < grid.size / 100
         else:
             assert fine < grid.size / 2
 
@@ -259,6 +259,85 @@ class TestPrunedScan:
         assert best_phi == domain.z1_terms(np.array([c]))[0]
         assert best == (c, 0j)
         assert fine == 3
+
+
+def random_rows(seed):
+    """Seeded coefficient rows a_0..a_m: degrees 1-8, moduli 1e-6..1e6, and
+    the rows that stress the root floor."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z * 10.0 ** rng.uniform(-6, 6, size)
+
+    rows = []
+    for m in range(1, 9):
+        for _ in range(6):
+            rows.append(cplx(m + 1))
+        # on the positive real axis every other term opposes a_0, so the
+        # positive root sits on Cauchy's radius itself
+        mag = np.abs(cplx(m + 1))
+        rows.append(np.concatenate([[mag[0]], -mag[1:]]).astype(np.complex128))
+        row = cplx(m + 1)
+        row[0] = 0.0  # a root at z2 = 0
+        rows.append(row)
+        row = cplx(m + 1)
+        row[-1] = 1e-13 * np.abs(row).max()  # stripped by solve_fibers
+        rows.append(row)
+        roots = cplx(m)
+        roots[-1] = roots[0]  # a double root
+        rows.append(np.poly(roots)[::-1] * 10.0 ** rng.uniform(-6, 6))
+        rows.append(np.concatenate([cplx(1), np.zeros(m)]))  # no z2 terms
+    return rows
+
+
+def accept_radius(row):
+    """The smallest |z2| at which |p(z2)| <= TOL_RES * (1 + max|a_k|) can hold
+    by Cauchy's bound, in 40-digit arithmetic; 0 when |a_0| is at most that."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    mag = [abs(mp.mpc(c.real, c.imag)) for c in row]
+    a0 = mag[0] - mp.mpf(TOL_RES) * (1 + max(mag))
+    if a0 <= 0:
+        return 0.0
+    if not any(mag[1:]):
+        return np.inf
+    lo, hi = mp.mpf(0), min((a0 / a) ** (mp.mpf(1) / k) for k, a in enumerate(mag) if k and a)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if sum(a * mid**k for k, a in enumerate(mag) if k) < a0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestRootFloor:
+    """_root_floor bounds every root the fiber solve reports as converged."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_below_every_converged_root(self, seed):
+        for row in random_rows(seed):
+            floor = ns._root_floor(row[None, :])[0]
+            roots, conv = solve_fibers(FiberPoly(row[None, :]), np.zeros(1))
+            assert np.all(np.abs(roots[0][conv[0]]) >= floor), row
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_below_the_accepted_residual_radius(self, seed):
+        # _aberth_sweep accepts any z2 with |p(z2)| <= TOL_RES * (1 + max|a_k|),
+        # so the floor must stay below the exact radius where that can start
+        for row in random_rows(seed):
+            floor = ns._root_floor(row[None, :])[0]
+            exact = accept_radius(row)
+            assert floor <= exact, row
+            if 0 < exact < np.inf:  # and no looser than the closed-form start
+                assert floor >= float(exact) * (1 - 1e-8) / (row.size - 1), row
+
+    def test_zero_constant_term_and_no_z2_terms(self):
+        rows = np.array([[0, 1, 1], [1e-11, 1, 0], [2, 0, 0], [0, 0, 0]], dtype=np.complex128)
+        floor = ns._root_floor(rows)
+        assert floor[0] == floor[1] == floor[3] == 0.0
+        assert floor[2] == np.inf
 
 
 class TestAggregation:
