@@ -32,7 +32,6 @@ from .rootfind import (  # noqa: F401
 )
 from .bergman import (  # noqa: F401
     DensityCertificate,
-    DilationFamily,
     DomainError,
     DomainSpec,
     MissingNormError,
@@ -41,7 +40,6 @@ from .bergman import (  # noqa: F401
     density_certificate,
     kernel_diag,
     monomial_norm,
-    projection_distance,
     projection_distances,
     ratio_sup,
 )

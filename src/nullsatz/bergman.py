@@ -51,6 +51,15 @@ class RankDeficiencyWarning(UserWarning):
     """The projection system has numerical rank below its column count."""
 
 
+def check_r_grid(r_grid: tuple[float, ...]) -> None:
+    """Raise DomainError unless r_grid is a nonempty grid of radii in (1/2, 1)."""
+    if len(r_grid) == 0:
+        raise DomainError("r_grid must be nonempty")
+    for r in r_grid:
+        if not 0.5 < r < 1.0:
+            raise DomainError(f"r_grid entry {r} outside (1/2, 1)")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """The Reinhardt domain |z1|^p + |z2|^q < 1."""
@@ -60,7 +69,7 @@ class DomainSpec:
 
     def __post_init__(self):
         for name, v in (("p", self.p), ("q", self.q)):
-            if not (0 < v < math.inf) or math.isnan(v):
+            if not 0 < v < math.inf:
                 raise DomainError(f"domain exponent {name} must be in (0, inf), got {v}")
 
     @property
@@ -105,8 +114,8 @@ class DomainSpec:
         """
         return self.z1_terms(z1s).reshape(-1, 1) + np.abs(z2s) ** self.q
 
-    def contains(self, z1, z2, slack: float = 0.0):
-        return self.phi(z1, z2) < 1.0 - slack
+    def contains(self, z1, z2):
+        return self.phi(z1, z2) < 1.0
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "q": self.q}
@@ -282,11 +291,6 @@ def projection_distances(p: BiPoly, N_max: int, table: MonomialNormTable) -> lis
     return [math.sqrt(tail[(N + 1) * (N + 2) // 2]) for N in range(N_max + 1)]
 
 
-def projection_distance(p: BiPoly, N: int, table: MonomialNormTable) -> float:
-    """d_N alone; the last entry of projection_distances(p, N, table)."""
-    return projection_distances(p, N, table)[N]
-
-
 def _warn_rank(R: np.ndarray, N_max: int) -> None:
     """Warn once, naming the first N whose R[:k_N, :k_N] has rank < k_N.
 
@@ -386,36 +390,8 @@ def mean_norm_sq(f: BiPoly, domain: DomainSpec, n: int, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dilation family and ratio bound
+# dilation ratio bound
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DilationFamily:
-    """f_r(z) = p(z1, z2) / p(r z1, r z2) for r in (1/2, 1)."""
-
-    poly: BiPoly
-    r: float
-
-    def __post_init__(self):
-        if not (0.5 < self.r < 1.0):
-            raise DomainError(f"dilation parameter must be in (1/2, 1), got {self.r}")
-        if self.poly.is_zero:
-            raise ValueError("dilation family needs a nonzero polynomial")
-
-    def __call__(self, z1, z2):
-        num = eval_grid(self.poly, z1, z2)
-        den = eval_grid(self.poly, self.r * np.asarray(z1), self.r * np.asarray(z2))
-        tiny = np.abs(den) < DENOM_FLOOR
-        if np.any(tiny):
-            idx = int(np.argmax(tiny))
-            zz1 = np.asarray(z1).ravel()[idx]
-            zz2 = np.asarray(z2).ravel()[idx]
-            raise DomainError(
-                f"dilation denominator vanishes near ({self.r * zz1:.6g}, "
-                f"{self.r * zz2:.6g}); polynomial has a zero inside the domain"
-            )
-        return num / den
 
 
 @dataclass
@@ -471,9 +447,7 @@ def ratio_sup(
     """
     if p.is_zero:
         raise ValueError("ratio_sup needs a nonzero polynomial")
-    for r in r_grid:
-        if not (0.5 < r < 1.0):
-            raise DomainError(f"r-grid entry {r} outside (1/2, 1)")
+    check_r_grid(r_grid)
     z1, z2 = sample_closure(domain, samples, seed)
     num = np.abs(eval_grid(p, z1, z2))
     d = p.degree_sum()
@@ -579,6 +553,7 @@ def density_certificate(
     """
     if p.is_zero:
         raise ValueError("density certificate needs a nonzero polynomial")
+    check_r_grid(r_grid)
     table = MonomialNormTable(domain, p.deg1 + p.deg2 + 2 * N_max + 2)
     profile = list(enumerate(projection_distances(p, N_max, table)))
 
@@ -587,8 +562,6 @@ def density_certificate(
     vol = volume(domain)
     pnum = eval_grid(p, z1, z2)
     for r in r_grid:
-        if not (0.5 < r < 1.0):
-            raise DomainError(f"r-grid entry {r} outside (1/2, 1)")
         den = eval_grid(p, r * z1, r * z2)
         tiny = np.abs(den) < DENOM_FLOOR
         if np.any(tiny):

@@ -61,7 +61,6 @@ def cmd_classify(args) -> int:
         gens,
         cfg.domain,
         seed=cfg.seed,
-        delta=cfg.delta,
         pitch=cfg.pitch,
         with_certificate=not args.no_certificate,
         mc_samples=cfg.mc_samples,
@@ -158,9 +157,7 @@ def cmd_decompose(args) -> int:
 def cmd_hopf(args) -> int:
     cfg = _config_from_args(args)
     p = load_poly(args.poly)
-    rot = find_rotation(
-        p, seed=cfg.seed, tol_circle=cfg.tol_circle, alpha_grid=cfg.alpha_grid
-    )
+    rot = find_rotation(p, seed=cfg.seed, alpha_grid=cfg.alpha_grid)
     report = {"rotation": rot.to_json_dict()}
     lines = [
         f"min circle modulus: {rot.min_modulus:.9g}",

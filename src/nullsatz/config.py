@@ -6,8 +6,9 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .bergman import MC_SAMPLES, N_MAX, R_GRID_DEFAULT, RATIO_SAMPLES, DomainSpec
-from .hopf import ALPHA_GRID, TOL_CIRCLE
-from .nullsatz import DELTA, GRID_PITCH
+from .bergman import check_r_grid
+from .hopf import ALPHA_GRID
+from .nullsatz import GRID_PITCH
 
 ENV_SEED = "NULLSATZ_SEED"
 
@@ -23,8 +24,6 @@ class RunConfig:
 
     domain: DomainSpec = field(default_factory=DomainSpec.ball)
     seed: int = 0
-    tol_circle: float = TOL_CIRCLE
-    delta: float = DELTA
     samples: int = RATIO_SAMPLES
     mc_samples: int = MC_SAMPLES
     r_grid: tuple[float, ...] = R_GRID_DEFAULT
@@ -33,21 +32,15 @@ class RunConfig:
     pitch: float = GRID_PITCH
 
     def __post_init__(self):
-        for name in ("tol_circle", "delta", "pitch"):
-            v = getattr(self, name)
-            if not (isinstance(v, float) and v > 0.0):
-                raise ValueError(f"{name} must be a positive float, got {v!r}")
+        if not (isinstance(self.pitch, float) and self.pitch > 0.0):
+            raise ValueError(f"pitch must be a positive float, got {self.pitch!r}")
         for name in ("samples", "mc_samples", "n_max", "alpha_grid"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v > 0):
                 raise ValueError(f"{name} must be a positive int, got {v!r}")
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
-        if not self.r_grid:
-            raise ValueError("r_grid must be nonempty")
-        for r in self.r_grid:
-            if not 0.5 < r < 1.0:
-                raise ValueError(f"r_grid entry {r} outside (1/2, 1)")
+        check_r_grid(self.r_grid)
         if not isinstance(self.domain, DomainSpec):
             raise ValueError("domain must be a DomainSpec")
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
@@ -66,8 +59,6 @@ class RunConfig:
         return {
             "domain": self.domain.to_json_dict(),
             "seed": self.seed,
-            "tol_circle": self.tol_circle,
-            "delta": self.delta,
             "samples": self.samples,
             "mc_samples": self.mc_samples,
             "r_grid": list(self.r_grid),

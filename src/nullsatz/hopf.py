@@ -21,6 +21,7 @@ from .bergman import (
     R_GRID_DEFAULT,
     RATIO_SAMPLES,
     DomainSpec,
+    check_r_grid,
     eval_grid,
     sample_closure,
 )
@@ -157,7 +158,6 @@ def _fiber_rep(theta: float, phi: float) -> tuple[complex, complex]:
 def find_rotation(
     f: BiPoly,
     seed: int = 0,
-    tol_circle: float = TOL_CIRCLE,
     alpha_grid: int = ALPHA_GRID,
 ) -> HopfRotation:
     """Search the sphere of circles for one avoiding the zero set of f.
@@ -166,7 +166,7 @@ def find_rotation(
     lattice), the best candidate's (theta, phi) is polished by a compass
     pattern search on the circle-minimum objective, and the final minimum is
     golden-section refined in t.  Raises RotationSearchError (carrying the
-    best candidate) when nothing clears tol_circle.
+    best candidate) when nothing clears TOL_CIRCLE.
     """
     if f.is_zero:
         raise ValueError("cannot rotate the zero polynomial")
@@ -218,9 +218,9 @@ def find_rotation(
             "argmin_t": t_min,
         },
     )
-    if min_mod <= tol_circle:
+    if min_mod <= TOL_CIRCLE:
         raise RotationSearchError(
-            f"no circle cleared modulus {tol_circle:g}; best candidate "
+            f"no circle cleared modulus {TOL_CIRCLE:g}; best candidate "
             f"reached {min_mod:.3e}",
             best=rot,
         )
@@ -279,9 +279,7 @@ def ball_ratio_sup(
     """
     if f.is_zero:
         raise ValueError("ratio of the zero polynomial is undefined")
-    for r in r_grid:
-        if not 0.5 < r < 1.0:
-            raise ValueError(f"dilation parameter {r} outside (1/2, 1)")
+    check_r_grid(r_grid)
     ball = DomainSpec.ball()
     z1, z2 = sample_closure(ball, samples, seed)
     fvals = eval_grid(f, z1, z2)

@@ -4,8 +4,8 @@ The dichotomy being computed: a polynomial ideal is closed exactly when every
 irreducible component of its zero set meets the open domain Omega_{p,q}, and
 its closure is the whole space exactly when no component does.  Mixed
 intersection patterns give NEITHER.  All intersection tests are numeric with
-a delta band around the gauge value 1, so boundary-grazing components report
-INCONCLUSIVE rather than a guessed verdict.
+a band of half-width DELTA around the gauge value 1, so boundary-grazing
+components report INCONCLUSIVE rather than a guessed verdict.
 """
 
 from __future__ import annotations
@@ -122,17 +122,15 @@ class ClosureVerdict:
         }
 
 
-def _band_verdict(phi: float, delta: float) -> str:
-    if phi <= 1.0 - delta:
+def _band_verdict(phi: float) -> str:
+    if phi <= 1.0 - DELTA:
         return INTERSECTS
-    if phi >= 1.0 + delta:
+    if phi >= 1.0 + DELTA:
         return MISSES
     return INCONCLUSIVE
 
 
-def intersect_point(
-    pt: IsolatedPoint, domain: DomainSpec, delta: float = DELTA
-) -> IntersectionResult:
+def intersect_point(pt: IsolatedPoint, domain: DomainSpec) -> IntersectionResult:
     """Gauge test of a single residual-verified point."""
     z1, z2 = pt.location
     phi = float(domain.phi(z1, z2))
@@ -141,8 +139,8 @@ def intersect_point(
         component=pt,
         min_phi=phi,
         argmin=(z1, z2),
-        verdict=_band_verdict(phi, delta),
-        trace={"method": "direct", "delta": delta},
+        verdict=_band_verdict(phi),
+        trace={"method": "direct", "delta": DELTA},
     )
 
 
@@ -293,7 +291,6 @@ def _continuation_check(
 def intersect_curve(
     comp: CurveComponent,
     domain: DomainSpec,
-    delta: float = DELTA,
     pitch: float = GRID_PITCH,
 ) -> IntersectionResult:
     """Minimize the gauge over one curve component.
@@ -311,8 +308,8 @@ def intersect_curve(
             component=comp,
             min_phi=phi,
             argmin=(c, 0.0 + 0j),
-            verdict=_band_verdict(phi, delta),
-            trace={"method": "vertical-closed-form", "delta": delta},
+            verdict=_band_verdict(phi),
+            trace={"method": "vertical-closed-form", "delta": DELTA},
         )
 
     fiber = FiberPoly(comp.defining)
@@ -322,7 +319,7 @@ def intersect_curve(
         "method": "grid+descent",
         "grid_points": int(grid.size),
         "pitch": pitch,
-        "delta": delta,
+        "delta": DELTA,
         "refine_steps": 0,
     }
     if best is None:
@@ -364,7 +361,7 @@ def intersect_curve(
 
     # at a branch point Newton can jump to a sheet of another factor of pp
     note = None
-    verdict = _band_verdict(best_phi, delta)
+    verdict = _band_verdict(best_phi)
     if not _on_component(comp, z1s, z2s):
         note = "polish left the component"
     elif verdict == INTERSECTS:
@@ -409,7 +406,6 @@ def classify(
     generators: list[BiPoly],
     domain: DomainSpec,
     seed: int = 0,
-    delta: float = DELTA,
     pitch: float = GRID_PITCH,
     with_certificate: bool = True,
     mc_samples: int = MC_SAMPLES,
@@ -426,7 +422,7 @@ def classify(
         raise ValueError("classify needs at least one nonzero generator")
     base_trace = {
         "seed": seed,
-        "delta": delta,
+        "delta": DELTA,
         "pitch": pitch,
         "tol_point": TOL_POINT,
     }
@@ -443,9 +439,8 @@ def classify(
         )
 
     results = tuple(
-        [intersect_curve(c, domain, delta=delta, pitch=pitch)
-         for c in dec.curve_components]
-        + [intersect_point(p, domain, delta=delta) for p in dec.points]
+        [intersect_curve(c, domain, pitch=pitch) for c in dec.curve_components]
+        + [intersect_point(p, domain) for p in dec.points]
     )
 
     overall, justification = aggregate_verdicts([r.verdict for r in results])
@@ -457,7 +452,7 @@ def classify(
                 continue
             w1, w2 = r.argmin
             resid = max(abs(g.eval(w1, w2)) for g in gens)
-            if resid < TOL_POINT and domain.phi(w1, w2) < 1.0 - delta:
+            if resid < TOL_POINT and domain.phi(w1, w2) < 1.0 - DELTA:
                 witness = (w1, w2)
                 break
         if witness is None:

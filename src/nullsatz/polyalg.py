@@ -242,12 +242,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return UniPoly([GR_ZERO] * k + list(self.coeffs))
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("UniPoly division by zero")
@@ -528,12 +522,6 @@ class BiPoly:
             raise ValueError("polynomial involves z2")
         n = self.deg1 + 1
         return UniPoly([self.coeff(a, 0) for a in range(max(n, 0))])
-
-    def as_unipoly_z2(self) -> UniPoly:
-        if self.deg1 > 0:
-            raise ValueError("polynomial involves z1")
-        n = self.deg2 + 1
-        return UniPoly([self.coeff(0, b) for b in range(max(n, 0))])
 
     # -- display -------------------------------------------------------------
 

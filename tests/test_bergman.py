@@ -18,11 +18,11 @@ import pytest
 
 from oracles import mc_monomial_norm
 
+from nullsatz import bergman
 from nullsatz.bergman import (
     DENOM_FLOOR,
     RankDeficiencyWarning,
     DensityCertificate,
-    DilationFamily,
     DomainError,
     DomainSpec,
     MissingNormError,
@@ -38,13 +38,13 @@ from nullsatz.bergman import (
     mean_norm_sq,
     monomial_norm,
     norm_sq,
-    projection_distance,
     projection_distances,
     ratio_sup,
     sample_closure,
     sample_interior,
     volume,
 )
+from nullsatz.hopf import ball_ratio_sup
 from nullsatz.polyalg import BiPoly, GaussRational
 from nullsatz.rootfind import FiberPoly, _horner
 
@@ -233,18 +233,20 @@ class TestKernelDiag:
 class TestProjectionDistance:
     def test_unit_poly_reaches_zero(self):
         t = MonomialNormTable(BALL, 4)
-        assert projection_distance(BiPoly.constant(1), 0, t) == pytest.approx(0.0, abs=1e-12)
+        assert projection_distances(BiPoly.constant(1), 0, t)[0] == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_z1_distance_is_norm_of_one(self):
         t = MonomialNormTable(BALL, 30)
         for N in (0, 3, 10):
-            d = projection_distance(Z1, N, t)
+            d = projection_distances(Z1, N, t)[N]
             assert d == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
 
     def test_z1_minus_two_hand_value(self):
         # minimize ||1 - c(z1-2)||: c = -6/13, distance sqrt(pi^2/26)
         t = MonomialNormTable(BALL, 4)
-        d = projection_distance(Z1 - 2, 0, t)
+        d = projection_distances(Z1 - 2, 0, t)[0]
         assert d == pytest.approx(math.sqrt(math.pi**2 / 26), abs=1e-9)
 
     def test_monotone_in_N(self):
@@ -263,7 +265,7 @@ class TestProjectionDistance:
                 continue
             prev = math.inf
             for N in range(8):
-                d = projection_distance(f, N, t)
+                d = projection_distances(f, N, t)[N]
                 assert d <= prev + 1e-12
                 prev = d
 
@@ -273,12 +275,12 @@ class TestProjectionDistance:
         p = 2 * Z1 - 1
         bound = kernel_lower_bound(BALL, (0.5, 0))
         for N in (0, 2, 5, 9):
-            assert projection_distance(p, N, t) >= bound - 1e-9
+            assert projection_distances(p, N, t)[N] >= bound - 1e-9
 
     def test_rejects_zero_poly(self):
         t = MonomialNormTable(BALL, 2)
         with pytest.raises(ValueError):
-            projection_distance(BiPoly.zero(), 0, t)
+            projection_distances(BiPoly.zero(), 0, t)
 
 
 def _seeded_poly(rng: random.Random, zero_free: bool) -> BiPoly:
@@ -348,12 +350,6 @@ class TestProjectionProfile:
                      for (a, b), c in p.terms.items())
             d0 = math.sqrt(nu00 - p00**2 * nu00**2 / pn)
             assert got[0] == pytest.approx(d0, rel=1e-12)
-
-    def test_single_N_is_last_profile_entry(self):
-        t = MonomialNormTable(SIMPLEX, 12)
-        p = (Z1 - 2) * (Z2 + GaussRational(1, 3))
-        for N in (0, 4, 10):
-            assert projection_distance(p, N, t) == projection_distances(p, N, t)[N]
 
     def test_rejects_negative_N(self):
         with pytest.raises(ValueError):
@@ -477,23 +473,30 @@ class TestRatioSup:
         assert back["seed"] == 0
 
 
-class TestDilationFamily:
-    def test_r_range_enforced(self):
-        for r in (0.5, 1.0, 0.2, 1.5):
-            with pytest.raises(DomainError):
-                DilationFamily(Z1 - 2, r)
+class TestRGridCheck:
+    @pytest.mark.parametrize(
+        "r_grid", [(), (0.4,), (0.5,), (1.0,)], ids=["empty", "0.4", "0.5", "1.0"]
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g: ratio_sup(Z1 - 2, BALL, r_grid=g, samples=1000),
+            lambda g: ball_ratio_sup(Z1 - 2, r_grid=g, samples=1000),
+            lambda g: density_certificate(Z1 - 2, BALL, N_max=1, r_grid=g),
+        ],
+        ids=["ratio_sup", "ball_ratio_sup", "density_certificate"],
+    )
+    def test_bad_grid_raises_domain_error(self, run, r_grid):
+        with pytest.raises(DomainError, match="r_grid"):
+            run(r_grid)
 
-    def test_evaluates_ratio(self):
-        fam = DilationFamily(Z1 - 2, 0.9)
-        z = np.array([0.3 + 0.1j])
-        w = np.array([0.2j])
-        expected = (0.3 + 0.1j - 2) / (0.9 * (0.3 + 0.1j) - 2)
-        assert fam(z, w)[0] == pytest.approx(expected)
+    def test_density_certificate_checks_grid_before_projecting(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("projection ran before the r-grid check")
 
-    def test_zero_denominator_raises(self):
-        fam = DilationFamily(Z1, 0.9)
-        with pytest.raises(DomainError):
-            fam(np.array([0.0 + 0j]), np.array([0.5 + 0j]))
+        monkeypatch.setattr(bergman, "projection_distances", fail)
+        with pytest.raises(DomainError, match="r_grid"):
+            density_certificate(Z1 - 2, BALL, r_grid=(0.9, 0.4))
 
 
 class TestDensityCertificate:

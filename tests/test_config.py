@@ -1,9 +1,11 @@
 """RunConfig validation and environment override."""
 
+import dataclasses
 import json
 
 import pytest
 
+from nullsatz import cli
 from nullsatz.bergman import DomainSpec
 from nullsatz.config import ENV_SEED, RunConfig
 
@@ -15,10 +17,10 @@ class TestValidation:
         assert cfg.seed == 0
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError, match="tol_circle"):
-            RunConfig(tol_circle=0.0)
-        with pytest.raises(ValueError, match="delta"):
-            RunConfig(delta=-1e-6)
+        with pytest.raises(ValueError, match="pitch"):
+            RunConfig(pitch=0.0)
+        with pytest.raises(ValueError, match="pitch"):
+            RunConfig(pitch=-0.01)
 
     def test_rejects_bad_r_grid(self):
         with pytest.raises(ValueError, match="r_grid"):
@@ -65,3 +67,14 @@ class TestSerialization:
         back = json.loads(a)
         assert back["domain"] == {"p": 1.0, "q": 3.0}
         assert back["seed"] == 5
+
+
+class TestSurface:
+    def test_every_setting_has_a_flag_and_a_report_key(self):
+        # a RunConfig field no flag sets would be written into every report
+        # while holding the same value in every run
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        settings = set(fields) - {"domain", "seed"}
+        flags = {flag.lstrip("-").replace("-", "_") for flag in cli._SETTINGS}
+        assert settings == flags
+        assert set(RunConfig().to_json_dict()) == set(fields)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nullsatz import hopf
 from nullsatz.hopf import (
     BallRatioReport,
     HopfRotation,
@@ -69,9 +70,10 @@ class TestFindRotation:
         b = find_rotation(Z1 * Z2, seed=11)
         assert a.a == b.a and a.b == b.b and a.min_modulus == b.min_modulus
 
-    def test_unreachable_threshold_reports_best(self):
+    def test_unreachable_threshold_reports_best(self, monkeypatch):
+        monkeypatch.setattr(hopf, "TOL_CIRCLE", 0.6)
         with pytest.raises(RotationSearchError) as info:
-            find_rotation(Z1 * Z2, tol_circle=0.6)
+            find_rotation(Z1 * Z2)
         best = info.value.best
         assert isinstance(best, HopfRotation)
         assert best.min_modulus == pytest.approx(0.5, abs=1e-6)
