@@ -50,7 +50,12 @@ def _config_from_args(args) -> RunConfig:
             kwargs[name] = value
     r_grid = getattr(args, "r_grid", None)
     if r_grid is not None:
-        kwargs["r_grid"] = tuple(float(x) for x in r_grid.split(","))
+        try:
+            kwargs["r_grid"] = tuple(float(x) for x in r_grid.split(","))
+        except ValueError:
+            raise PolyFormatError(
+                f"--r-grid needs comma-separated floats, got {r_grid!r}"
+            ) from None
     return RunConfig(**kwargs).with_env_seed()
 
 

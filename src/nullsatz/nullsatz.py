@@ -10,10 +10,11 @@ components report INCONCLUSIVE rather than a guessed verdict.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import linear_sum_assignment
 
 from .bergman import (
     MC_SAMPLES,
@@ -57,6 +58,16 @@ _COARSE_STRIDE = 16
 # closed-form start, and the relative margin it is shrunk by
 _FLOOR_BISECTIONS = 6
 _FLOOR_MARGIN = 1e-9
+# the sheet descent stops once its step length falls below _STEP_MIN or after
+# _DESCENT_STEPS accepted steps.  A corrected z2 must land within _SHEET_TOL
+# of the step's length from its prediction, with a last Newton step below
+# _CORRECTOR_TOL relative to |z2|; phi values within _PHI_ROUNDING relative
+# of each other count as equal, and the smaller gradient then decides
+_STEP_MIN = 1e-12
+_DESCENT_STEPS = 200
+_SHEET_TOL = 0.25
+_CORRECTOR_TOL = 1e-12
+_PHI_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -144,20 +155,36 @@ def intersect_point(pt: IsolatedPoint, domain: DomainSpec) -> IntersectionResult
     )
 
 
+@functools.lru_cache(maxsize=4)
 def _disk_grid(pitch: float) -> np.ndarray:
+    """The grid of this pitch over |z1| <= 1, built once, as a read-only array."""
     n = int(round(2.0 / pitch)) + 1
     ax = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax)
     Z = (X + 1j * Y).ravel()
-    return Z[np.abs(Z) <= 1.0 + 1e-12]
+    Z = Z[np.abs(Z) <= 1.0 + 1e-12]
+    Z.flags.writeable = False
+    return Z
 
 
-def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
+@functools.lru_cache(maxsize=8)
+def _grid_terms(pitch: float, domain: DomainSpec) -> np.ndarray:
+    """domain.z1_terms(_disk_grid(pitch)), built once, as a read-only array.
+
+    Every component scanned on one domain shares it.
+    """
+    terms = domain.z1_terms(_disk_grid(pitch))
+    terms.flags.writeable = False
+    return terms
+
+
+def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: np.ndarray):
     """Min gauge value over the component's sheets above each z1 sample.
 
-    Returns (best_phi, best), best = (z1, z2) at the smallest gauge over all
-    converged sheets; ties go to the first sample, then the first sheet.
-    (inf, None) when no sheet converged.
+    terms holds domain.z1_terms(z1s), so each gauge rounds as domain.phi_rows
+    does.  Returns (best_phi, best), best = (z1, z2) at the smallest gauge
+    over all converged sheets; ties go to the first sample, then the first
+    sheet.  (inf, None) when no sheet converged.
     """
     roots, conv = solve_fibers(fiber, z1s)
     sizes = np.array([r.size for r in roots], dtype=np.intp)
@@ -172,7 +199,7 @@ def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray):
     R[filled] = np.concatenate(roots)
     ok[filled] = np.concatenate(conv)
     with np.errstate(all="ignore"):
-        phis = np.where(ok, domain.phi_rows(z1s, R), np.inf)
+        phis = np.where(ok, terms.reshape(-1, 1) + np.abs(R) ** domain.q, np.inf)
     j = np.argmin(phis, axis=1)
     row_min = phis[np.arange(B), j]
     row_min[~(row_min < np.inf)] = np.inf  # a row whose argmin is NaN never wins
@@ -215,39 +242,187 @@ def _root_floor(rows: np.ndarray) -> np.ndarray:
     return np.where(r > 0.0, r, 0.0)
 
 
-def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, grid: np.ndarray):
-    """_sheet_phis(fiber, domain, grid), solving only the samples that can matter.
+def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: np.ndarray):
+    """_sheet_phis(fiber, domain, z1s, terms), solving only the samples that can matter.
 
-    A coarse pass over every _COARSE_STRIDE-th sample gives coarse_phi, which
-    is at least the minimum over the grid.  Every root above a sample z1 has
-    |z2| >= r(z1), the _root_floor of its coefficient row, so phi >=
-    |z1|^p + r^q there.  A sample with |z1|^p + r^q > coarse_phi can neither
-    win nor tie: the margin keeps r below every root, so r^q cannot round
-    above |z2|^q, and |z1|^p is the z1_terms value phi_rows adds.  The full
-    pass runs on the other samples, in grid order, and returns the same
-    (best_phi, best).  With r = 0 this is the bound phi >= |z1|^p alone; the
-    floor is what prunes a component that misses the domain, where
-    |z1|^p <= 1 < phi everywhere.
+    terms holds domain.z1_terms(z1s).  A coarse pass over every
+    _COARSE_STRIDE-th sample gives coarse_phi, which is at least the minimum
+    over the samples.  Every root above a sample z1 has |z2| >= r(z1), the
+    _root_floor of its coefficient row, so phi >= |z1|^p + r^q there.  A
+    sample with |z1|^p + r^q > coarse_phi can neither win nor tie: the margin
+    keeps r below every root, so r^q cannot round above |z2|^q, and |z1|^p is
+    the terms value the gauge adds.  The full pass runs on the other samples,
+    in order, and returns the same (best_phi, best).  With r = 0 this is the
+    bound phi >= |z1|^p alone; the floor is what prunes a component that
+    misses the domain, where |z1|^p <= 1 < phi everywhere.
     """
-    coarse_phi, _ = _sheet_phis(fiber, domain, grid[::_COARSE_STRIDE])
+    s = _COARSE_STRIDE
+    coarse_phi, _ = _sheet_phis(fiber, domain, z1s[::s], terms[::s])
     with np.errstate(over="ignore"):
-        bound = domain.z1_terms(grid) + _root_floor(fiber.coeff_rows(grid)) ** domain.q
-    return _sheet_phis(fiber, domain, grid[bound <= coarse_phi])
+        bound = terms + _root_floor(fiber.coeff_rows(z1s)) ** domain.q
+    keep = bound <= coarse_phi
+    return _sheet_phis(fiber, domain, z1s[keep], terms[keep])
 
 
-def _newton_z2(coeffs: np.ndarray, z2: complex, iters: int = 12) -> complex:
-    """Polish a z2 root of an ascending univariate slice."""
-    d = np.arange(1, coeffs.size) * coeffs[1:]
+def _newton_z2(coeffs, z2: complex, iters: int = 12) -> complex:
+    """Polish a z2 root of an ascending univariate slice (a list of complex)."""
+    z2 = complex(z2)
     for _ in range(iters):
-        p = complex(np.polyval(coeffs[::-1], z2))
-        dp = complex(np.polyval(d[::-1], z2)) if d.size else 0.0
-        if dp == 0:
+        f = df = 0j
+        for c in reversed(coeffs):
+            df = df * z2 + f
+            f = f * z2 + c
+        if df == 0:
             break
-        step = p / dp
+        step = f / df
         z2 -= step
         if abs(step) < 1e-15 * (1.0 + abs(z2)):
             break
     return z2
+
+
+def _slice(cols: list[list[complex]], z1: complex):
+    """The z2-coefficients of a curve at z1 and their z1-derivatives.
+
+    cols[b] lists the ascending z1-coefficients of the curve's z2^b term.
+    """
+    rows, drows = [], []
+    for col in cols:
+        v = dv = 0j
+        for c in reversed(col):
+            dv = dv * z1 + v
+            v = v * z1 + c
+        rows.append(v)
+        drows.append(dv)
+    return rows, drows
+
+
+def _pow_grad(z: complex, e: float) -> complex:
+    """The gradient d/dx + i d/dy of |z|^e at z = x + iy; 0 at z = 0."""
+    if z == 0:
+        return 0j
+    r = abs(z)
+    return e * r ** (e - 1.0) * (z / r)
+
+
+def _into_disk(z: complex) -> complex:
+    """z, or its radial projection onto |z| <= 1 (never rounding outside)."""
+    r = abs(z)
+    if r <= 1.0:
+        return z
+    z /= r
+    while abs(z) > 1.0:
+        z *= 1.0 - 2.0**-52
+    return z
+
+
+def _bfgs(H, s: complex, y: complex):
+    """The BFGS update of an inverse Hessian H = (h11, h12, h22) of a function
+    of z1 = x + iy, by a step s and the gradient change y over it.
+
+    H None stands for a fresh estimate, taken as (s.y / y.y) times the
+    identity (Nocedal & Wright, Numerical Optimization, (6.20)).  Without
+    positive curvature, s.y <= 0, H is returned as it is.
+    """
+    sy = (s.conjugate() * y).real
+    if not sy > 0.0:
+        return H
+    if H is None:
+        c = sy / abs(y) ** 2
+        H = (c, 0.0, c)
+    h11, h12, h22 = H
+    a = h11 * y.real + h12 * y.imag  # H y
+    b = h12 * y.real + h22 * y.imag
+    r = 1.0 / sy
+    c = r * r * (y.real * a + y.imag * b) + r
+    return (
+        h11 - 2.0 * r * s.real * a + c * s.real**2,
+        h12 - r * (s.real * b + a * s.imag) + c * s.real * s.imag,
+        h22 - 2.0 * r * s.imag * b + c * s.imag**2,
+    )
+
+
+def _descend(cols, domain: DomainSpec, z1: complex, z2: complex, step: float):
+    """Lower phi from a point (z1, z2) of a curve along the curve's sheet through it.
+
+    cols holds the curve as in _slice.  On the sheet z2 is a function of z1
+    with dz2/dz1 = w = -f_z1 / f_z2, so the real gradient of
+    phi = |z1|^p + |z2|^q along it is g = p|z1|^(p-2) z1 + q|z2|^(q-2) z2 conj(w).
+    Inside the disk a step moves z1 a length t along -H g, where H is a BFGS
+    estimate of the inverse Hessian built from the steps taken; it learns the
+    narrow valleys that |z1|^p and |z2|^q make next to z1 = 0 and z2 = 0
+    when p or q is small.  On the rim |z1| = 1, where -g points out of the
+    disk, the step follows the tangential part of -g and H starts afresh.
+    A step that leaves the disk is projected back (on the rim this turns the
+    angle only); z2 is predicted as z2 + w dz1 and corrected by _newton_z2.
+    The step is accepted when the corrector converges within _SHEET_TOL of
+    the step from the prediction, so it cannot jump to another sheet, and
+    phi decreases by more than _PHI_ROUNDING relative, or stays within it
+    while |G| shrinks, G being the gradient the step follows (where phi is
+    flat to rounding, the gradient still locates a smooth minimum).  t then doubles,
+    up to the disk's radius; otherwise it halves.  Stops when t falls below
+    _STEP_MIN, after _DESCENT_STEPS accepted steps, or where w is undefined.
+    Returns (z1, z2, accepted steps).
+    """
+    p, q = domain.p, domain.q
+
+    def local(z1, z2, rows, drows):
+        # (phi, w, g, G, |G|) at a converged point of the sheet, with G the
+        # gradient the step follows (g, or its tangential part on the rim);
+        # else None.  The caller catches overflow
+        f = fz1 = fz2 = 0j
+        for r, dr in zip(reversed(rows), reversed(drows)):
+            fz2 = fz2 * z2 + f
+            f = f * z2 + r
+            fz1 = fz1 * z2 + dr
+        if fz2 == 0 or abs(f) > _CORRECTOR_TOL * abs(fz2) * (1.0 + abs(z2)):
+            return None
+        w = -fz1 / fz2
+        g = G = _pow_grad(z1, p) + _pow_grad(z2, q) * w.conjugate()
+        if abs(z1) >= 1.0 - _STEP_MIN and (z1.conjugate() * g).real < 0:
+            u = z1 / abs(z1)
+            G = 1j * u * (u.conjugate() * g).imag
+        return abs(z1) ** p + abs(z2) ** q, w, g, G, abs(G)
+
+    try:
+        cur = local(z1, z2, *_slice(cols, z1))
+    except (OverflowError, ZeroDivisionError):
+        cur = None
+    H = None
+    steps, t = 0, step
+    while cur is not None and steps < _DESCENT_STEPS and t >= _STEP_MIN:
+        phi, w, g, G, Gn = cur
+        if not Gn > 0.0:  # a stationary point, or a gradient that overflowed
+            break
+        d = -G
+        if H is not None and G is g:
+            h11, h12, h22 = H
+            d = -complex(h11 * g.real + h12 * g.imag, h12 * g.real + h22 * g.imag)
+        dn = abs(d)
+        if not (dn > 0.0 and (G.conjugate() * d).real < 0.0):
+            H, d, dn = None, -G, Gn
+        raw = z1 + t * (d / dn)
+        z1n = _into_disk(raw)
+        pred = z2 + w * (z1n - z1)
+        rows, drows = _slice(cols, z1n)
+        try:
+            z2n = _newton_z2(rows, pred)
+            near = abs(z2n - pred) <= _SHEET_TOL * (abs(z1n - z1) + abs(pred - z2))
+            new = local(z1n, z2n, rows, drows) if near else None
+        except (OverflowError, ZeroDivisionError):
+            new = None
+        if new is not None and (
+            new[0] < phi * (1.0 - _PHI_ROUNDING)
+            or (new[0] <= phi * (1.0 + _PHI_ROUNDING) and new[4] < Gn)
+        ):
+            inside = z1n == raw and G is g and new[3] is new[2]
+            H = _bfgs(H, z1n - z1, new[2] - g) if inside else None
+            z1, z2, cur = z1n, z2n, new
+            steps += 1
+            t = min(2.0 * t, 1.0)
+        else:
+            t *= 0.5
+    return z1, z2, steps
 
 
 def _on_component(comp: CurveComponent, z1: complex, z2: complex) -> bool:
@@ -296,8 +471,13 @@ def intersect_curve(
     """Minimize the gauge over one curve component.
 
     The search runs over |z1| <= 1 only: outside that disk the gauge already
-    exceeds 1.  Sheets come from the interpolated defining polynomial; an
-    INTERSECTS argmin is re-verified against the exact parent factor and by
+    exceeds 1.  A pruned grid scan over the sheets of the interpolated
+    defining polynomial finds a start; Newton puts every sheet above it onto
+    the exact parent curve, _descend lowers the gauge along each, and the
+    lowest end is kept, so the argmin lies on the exact curve and its gauge
+    is not above the grid sheet's start beyond rounding.
+    trace["refine_steps"] counts the descents' accepted steps.  The argmin
+    must lie on the component, and an INTERSECTS argmin is re-verified by
     continuation from the component's base fiber.
     """
     if comp.vertical:
@@ -314,7 +494,7 @@ def intersect_curve(
 
     fiber = FiberPoly(comp.defining)
     grid = _disk_grid(pitch)
-    best_phi, best = _pruned_scan(fiber, domain, grid)
+    _, best = _pruned_scan(fiber, domain, grid, _grid_terms(pitch, domain))
     trace = {
         "method": "grid+descent",
         "grid_points": int(grid.size),
@@ -332,31 +512,22 @@ def intersect_curve(
             trace={**trace, "note": "no sheet values found over the disk"},
         )
 
-    def objective(xy):
-        z1 = complex(xy[0], xy[1])
-        if abs(z1) > 1.0:  # phi > 1 there; keep the descent inside the disk
-            return np.inf
-        phi, _ = _sheet_phis(fiber, domain, np.array([z1]))
-        return phi
-
-    res = minimize(
-        objective,
-        x0=[best[0].real, best[0].imag],
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 200},
-    )
-    trace["refine_steps"] = int(res.nit)
-    if res.fun < best_phi:
-        z1r = complex(res.x[0], res.x[1])
-        _, cand = _sheet_phis(fiber, domain, np.array([z1r]))
-        if cand is not None:
-            best_phi, best = float(res.fun), cand
-
-    # polish the candidate onto the exact curve before judging
+    # descend on the exact curve from every sheet above the grid argmin, its
+    # own sheet first, and keep the lowest end: two sheets can have minima
+    # close together, and the grid need not pick the lower one
     _, pp = content_pp_z2(comp.parent)
-    z1s, z2s = best
-    z2s = _newton_z2(FiberPoly(pp).coeffs_at(z1s), z2s)
-    best_phi = float(domain.phi(z1s, z2s))
+    cols = pp.coeff_matrix().T.tolist()
+    z1g, z2g = best
+    roots, conv = solve_fibers(fiber, np.array([z1g]))
+    others = roots[0][conv[0]]
+    starts = [z2g, *others[np.argsort(np.abs(others - z2g))[1:]].tolist()]
+    rows = _slice(cols, z1g)[0]
+    ends = []
+    for z2 in starts:
+        z1s, z2s, steps = _descend(cols, domain, z1g, _newton_z2(rows, z2), pitch)
+        trace["refine_steps"] += steps
+        ends.append((float(domain.phi(z1s, z2s)), z1s, z2s))
+    best_phi, z1s, z2s = min(ends, key=lambda end: end[0])
     best = (z1s, z2s)
 
     # at a branch point Newton can jump to a sheet of another factor of pp

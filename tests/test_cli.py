@@ -157,6 +157,15 @@ class TestErrorPaths:
         assert code == 10
         assert "error" in err
 
+    @pytest.mark.parametrize("r_grid", ["", "0.9,x", "0.9,,0.95"])
+    @pytest.mark.parametrize("command", ["ratio", "density"])
+    def test_malformed_r_grid_is_input_error(self, capsys, tmp_path, command, r_grid):
+        path = write_poly(tmp_path, "p.json", Z1 - 2)
+        code, out, err = run(capsys, command, "--poly", path, "--r-grid", r_grid)
+        assert code == 64
+        assert "--r-grid" in err
+        assert out == ""
+
     @pytest.mark.parametrize("witness", ["a,b,c,d", "0.5,0,0.5"])
     def test_bad_witness_is_input_error(self, capsys, tmp_path, witness):
         path = write_poly(tmp_path, "p.json", Z1 - 2)

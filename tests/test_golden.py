@@ -8,7 +8,15 @@ rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 
-and review the diff of tests/golden/ before committing it.  The last
+and review the diff of tests/golden/ before committing it.
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+compares fresh reports with the committed files without writing anything.
+It prints every JSON path whose value changed, with the absolute and
+relative change of each number and the largest of each, and exits non-zero
+if anything other than a number changed (a verdict, status or note, a key,
+a list length).  The last
 digits of the floats depend on the numpy and scipy builds; the files were
 written with numpy 2.4 and scipy 1.17, the versions .github/constraints.txt
 pins for the CI leg on Python 3.11.
@@ -86,6 +94,18 @@ def test_report_matches_golden(name, monkeypatch):
     assert report(name).encode() == expected
 
 
+def test_leaf_diffs_name_every_changed_value():
+    old = {"a": 1.0, "b": [1, 2], "c": {"v": "CLOSED"}, "d": True, "f": 0.5}
+    new = {"a": 1.5, "b": [1, 2, 3], "c": {"v": "DENSE"}, "d": 1, "e": None, "f": 0.5}
+    assert list(_leaf_diffs(old, new)) == [
+        ("$.a", 1.0, 1.5),
+        ("$.b", [1, 2], [1, 2, 3]),
+        ("$.c.v", "CLOSED", "DENSE"),
+        ("$.d", True, 1),
+        ("$.e", _MISSING, None),
+    ]
+
+
 def regenerate() -> None:
     os.environ.pop(ENV_SEED, None)
     GOLDEN.mkdir(exist_ok=True)
@@ -94,7 +114,54 @@ def regenerate() -> None:
         print(f"wrote {name}.json")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_MISSING = "<missing>"
+
+
+def _leaf_diffs(old, new, path: str = "$"):
+    """Yield (path, old, new) for each leaf where two JSON trees differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _leaf_diffs(old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _leaf_diffs(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def diff() -> int:
+    """Print how fresh reports differ from the golden files; 1 if a non-number changed."""
+    os.environ.pop(ENV_SEED, None)
+    other_changed = False
+    top_abs = top_rel = 0.0
+    for name in CASES:
+        old = json.loads((GOLDEN / f"{name}.json").read_text())
+        rows = list(_leaf_diffs(old, json.loads(report(name))))
+        if rows:
+            print(f"{name}.json")
+        for path, a, b in rows:
+            if _is_number(a) and _is_number(b):
+                change = abs(b - a)
+                rel = change / max(abs(a), abs(b))
+                top_abs, top_rel = max(top_abs, change), max(top_rel, rel)
+                print(f"  {path}: {a!r} -> {b!r} (abs {change:.3g}, rel {rel:.3g})")
+            else:
+                other_changed = True
+                print(f"  {path}: {a!r} -> {b!r} (not a number)")
+    print(f"largest number change: abs {top_abs:.3g}, rel {top_rel:.3g}")
+    if other_changed:
+        print("a value other than a number changed")
+    return int(other_changed)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python tests/test_golden.py --regen")
-    regenerate()
+    if sys.argv[1:] == ["--regen"]:
+        regenerate()
+    elif sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
+    else:
+        sys.exit("usage: python tests/test_golden.py --regen | --diff")
