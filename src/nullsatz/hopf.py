@@ -88,14 +88,16 @@ def circle_coefficients(f: BiPoly, a: complex, b: complex) -> np.ndarray:
     """Fourier coefficients C_d of t -> f(a e^{i t}, b e^{i t}).
 
     f(a e^{it}, b e^{it}) = sum_d C_d e^{i d t} with C_d collecting every
-    monomial of total degree d.
+    monomial of total degree d.  The coefficients are converted to complex
+    once per polynomial (BiPoly.complex_terms), not once per circle.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no circle restriction")
-    deg = max(j + k for j, k in f.terms)
+    terms = f.complex_terms()
+    deg = max(j + k for j, k, _ in terms)
     C = np.zeros(deg + 1, dtype=np.complex128)
-    for (j, k), c in f.terms.items():
-        C[j + k] += complex(c) * a**j * b**k
+    for j, k, c in terms:
+        C[j + k] += c * a**j * b**k
     return C
 
 

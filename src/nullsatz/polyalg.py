@@ -314,7 +314,8 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 class BiPoly:
     """Bivariate polynomial over Q(i), stored as {(a, b): coeff} with no zeros."""
 
-    __slots__ = ("terms",)
+    # _complex is filled on first use by complex_terms
+    __slots__ = ("terms", "_complex")
 
     def __init__(self, terms: Mapping[tuple[int, int], GaussRational] | None = None):
         clean = {}
@@ -483,6 +484,15 @@ class BiPoly:
         for c in reversed(cs):
             acc = acc * x2 + c
         return acc
+
+    def complex_terms(self) -> tuple[tuple[int, int, complex], ...]:
+        """(a, b, complex(c)) for every term c z1^a z2^b, converted once and kept."""
+        try:
+            return self._complex
+        except AttributeError:
+            terms = tuple((a, b, complex(c)) for (a, b), c in self.terms.items())
+            object.__setattr__(self, "_complex", terms)
+            return terms
 
     def coeff_matrix(self) -> np.ndarray:
         """Complex coefficient array C with C[a, b] multiplying z1^a z2^b."""

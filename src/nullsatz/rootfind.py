@@ -64,23 +64,35 @@ def _as_coeff_array(f) -> np.ndarray:
 def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     """Horner evaluation: ascending coefficients on axis 0, broadcast against x.
 
-    coeffs[k] multiplies x**k; each coeffs[k] broadcasts against x, so a
-    (n+1, B, 1) stack evaluates B polynomials at (B, m) points and a
-    (n+1, k, 1) stack evaluates k polynomials at (m,) points.
+    coeffs[k] multiplies x**k; each coeffs[k] broadcasts against x to one
+    shape, so a (n+1, B, 1) stack evaluates B polynomials at (B, m) points
+    and a (n+1, k, 1) stack evaluates k polynomials at (m,) points.
+
+    Each step forms a new product and adds c into it in place, so a step
+    makes one array, not two.  The bits are those of acc * x + c; a Python
+    or NumPy scalar simply rebinds on +=.
     """
     acc = coeffs[-1] + 0 * x
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        acc = acc * x
+        acc += c
     return acc
 
 
 def _horner2(C: np.ndarray, z1, z2) -> np.ndarray:
-    """sum C[a, b] z1^a z2^b at paired points z1, z2 (double Horner)."""
+    """sum C[a, b] z1^a z2^b at paired points z1, z2 (double Horner).
+
+    Horner in z2 over the z1 passes sum_a C[a, b] z1^a, taken from the
+    highest b down as they are needed: it holds the sum, one pass and one
+    product, each the size of the points, instead of all deg2 + 1 passes.
+    """
     z1 = np.asarray(z1, dtype=np.complex128)
     z2 = np.asarray(z2, dtype=np.complex128)
-    # one z1 pass per z2 power keeps every temporary the size of z1; a
-    # single pass over all powers at once is slower and larger at 10^5 samples
-    return _horner([_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
+    acc = _horner(C[:, -1], z1) + 0 * z2
+    for b in range(C.shape[1] - 2, -1, -1):
+        acc = acc * z2
+        acc += _horner(C[:, b], z1)
+    return acc
 
 
 class _UnionFind:

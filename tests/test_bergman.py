@@ -422,6 +422,77 @@ class TestSampling:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+class TestSampleMemo:
+    """Each sample set is built once per (domain, n, seed) and shared read-only."""
+
+    SAMPLERS = (
+        (sample_interior, bergman._kept_interior, bergman.MC_SAMPLES),
+        (sample_closure, bergman._kept_closure, bergman.RATIO_SAMPLES),
+    )
+
+    @pytest.mark.parametrize("sampler, builder, default", SAMPLERS)
+    def test_read_only_and_shared(self, sampler, builder, default):
+        builder.cache_clear()
+        z1, z2 = sampler(SIMPLEX, 600, 4)
+        for arr in (z1, z2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = sampler(SIMPLEX, 600, seed=4)
+        assert again[0] is z1 and again[1] is z2
+        assert builder.cache_info().hits == 1
+
+    @pytest.mark.parametrize("sampler, builder, default", SAMPLERS)
+    def test_each_key_is_its_own_entry(self, sampler, builder, default):
+        builder.cache_clear()
+        base = sampler(SIMPLEX, 600, 4)
+        for dom, n, seed in (
+            (DomainSpec(2.0, 1.0), 600, 4),
+            (DomainSpec(1.0, 2.0), 600, 4),
+            (SIMPLEX, 601, 4),
+            (SIMPLEX, 600, 5),
+        ):
+            builder.cache_clear()
+            z1, z2 = sampler(dom, n, seed)
+            assert builder.cache_info().misses == 1
+            assert z1 is not base[0] and z2 is not base[1]
+            # a sampler may scale z1 by p alone, so compare the pair
+            assert not (np.array_equal(z1, base[0]) and np.array_equal(z2, base[1]))
+
+    @pytest.mark.parametrize("sampler, builder, default", SAMPLERS)
+    def test_sets_above_the_default_size_are_not_kept(self, sampler, builder, default):
+        builder.cache_clear()
+        first = sampler(SIMPLEX, default + 1, 4)
+        again = sampler(SIMPLEX, default + 1, 4)
+        assert builder.cache_info().currsize == 0
+        assert again[0] is not first[0] and again[1] is not first[1]
+        for a, b in zip(first, again):
+            assert len(a) == default + 1 and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+    def test_cache_bound_is_documented(self):
+        # three kept sets of each kind, at most 3 x (3.2 + 0.64) MB
+        assert bergman.SAMPLE_SETS == 3
+        for _, builder, _ in self.SAMPLERS:
+            assert builder.cache_info().maxsize == bergman.SAMPLE_SETS
+
+    def test_kept_samples_give_the_cold_certificate(self):
+        omega13 = DomainSpec(1.0, 3.0)
+        f = (Z1 - 2) * (Z2 + GaussRational(1, 2)) + Z1 * Z2**2
+
+        def report():
+            cert = density_certificate(f, omega13, N_max=2, seed=3)
+            return json.dumps(cert.to_json_dict()).encode()
+
+        bergman._kept_interior.cache_clear()
+        cold = report()
+        for dom in (BALL, SIMPLEX):
+            density_certificate(f, dom, N_max=2, seed=3)
+        hits = bergman._kept_interior.cache_info().hits
+        assert report() == cold
+        assert bergman._kept_interior.cache_info().hits == hits + 1
+
+
 WITNESS_R_GRID = (0.5005, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
 

@@ -270,6 +270,15 @@ class TestBiPoly:
         assert m[1, 1] == 2
         assert m[0, 0] == -3
 
+    def test_complex_terms_are_converted_once(self):
+        f = GaussRational(Fraction(1, 3), Fraction(-2, 7)) * Z1**2 * Z2 + 5 * Z2 - 1
+        terms = f.complex_terms()
+        assert terms is f.complex_terms()
+        assert sorted(terms) == sorted((a, b, complex(c)) for (a, b), c in f.terms.items())
+        assert (f * 1).complex_terms() == terms and f * 1 == f
+        with pytest.raises(AttributeError):
+            f._complex = ()
+
     def test_swap_vars(self):
         f = Z1**2 * Z2 + 3 * Z2
         assert f.swap_vars() == Z2**2 * Z1 + 3 * Z1

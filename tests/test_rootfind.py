@@ -8,6 +8,7 @@ continuation of small radicals.
 from __future__ import annotations
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from nullsatz import rootfind
-from nullsatz.polyalg import BiPoly, UniPoly
+from nullsatz.bergman import eval_grid
+from nullsatz.polyalg import BiPoly, GaussRational, UniPoly
 from nullsatz.rootfind import (
     MAX_SWEEPS,
     SEPARATION_FACTOR,
@@ -25,6 +27,8 @@ from nullsatz.rootfind import (
     TrackError,
     _aberth_batch,
     _fiber_at,
+    _horner,
+    _horner2,
     _min_separation,
     all_roots,
     circle_samples,
@@ -127,6 +131,110 @@ class TestAllRoots:
         b = all_roots(coeffs).roots
         assert a == b
         assert list(a) == sorted(a, key=lambda z: (z.real, z.imag))
+
+
+def list_horner(coeffs, x):
+    """The list-form Horner kernel before it ran in place, frozen as the reference."""
+    acc = coeffs[-1] + 0 * x
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def list_horner2(C, z1, z2):
+    z1 = np.asarray(z1, dtype=np.complex128)
+    z2 = np.asarray(z2, dtype=np.complex128)
+    return list_horner([list_horner(C[:, b], z1) for b in range(C.shape[1])], z2)
+
+
+def wide_complex(rng, *shape):
+    """Complex entries whose moduli spread over 1e-6 .. 1e6."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+
+
+def same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).shape == np.asarray(want).shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestHorner:
+    """The in-place kernels give the list-form kernel's bits on every layout."""
+
+    def test_stacked_batches_match_list_form(self):
+        rng = np.random.default_rng(11)
+        # B = m = 1 included: numpy multiplies a one-element array in place
+        # by another loop than a fresh product, whose last bit can differ
+        for n, B, m in ((1, 1, 1), (3, 1, 1), (4, 1, 5), (6, 3, 1), (7, 4, 9), (12, 8, 33)):
+            for _ in range(20):
+                P = wide_complex(rng, n + 1, B, 1)
+                x = wide_complex(rng, B, m)
+                same_bits(_horner(P, x), list_horner(P, x))
+                # the FiberPoly layout: k polynomials at (m,) points
+                Q = wide_complex(rng, n + 1, B, 1)
+                z = wide_complex(rng, m)
+                same_bits(_horner(Q, z), list_horner(Q, z))
+
+    def test_scalar_and_zero_d_points_match_list_form(self):
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 2, 5, 9):
+            for _ in range(30):
+                a = wide_complex(rng, n + 1)
+                s = complex(wide_complex(rng, 1)[0])
+                same_bits(_horner(a, s), list_horner(a, s))
+                z0 = np.asarray(wide_complex(rng, 1)[0])
+                same_bits(_horner(a, z0), list_horner(a, z0))
+                # Python complex rows, as decompose._eval_rows passes them
+                rows = [[complex(v) for v in wide_complex(rng, k)] for k in (1, 3, n + 1)]
+                x1, x2 = complex(rng.standard_normal(), 1.0), complex(-0.5, rng.standard_normal())
+                got = _horner([_horner(r, x1) for r in rows], x2)
+                same_bits(got, list_horner([list_horner(r, x1) for r in rows], x2))
+
+    def test_horner2_matches_list_form(self):
+        rng = np.random.default_rng(13)
+        for deg1, deg2, m in ((0, 0, 4), (2, 0, 7), (0, 3, 7), (3, 2, 1), (4, 6, 2), (6, 5, 101)):
+            for _ in range(15):
+                C = wide_complex(rng, deg1 + 1, deg2 + 1)
+                z1, z2 = wide_complex(rng, m), wide_complex(rng, m)
+                same_bits(_horner2(C, z1, z2), list_horner2(C, z1, z2))
+                w1, w2 = complex(wide_complex(rng, 1)[0]), complex(wide_complex(rng, 1)[0])
+                same_bits(_horner2(C, w1, w2), list_horner2(C, w1, w2))
+                same_bits(_horner2(C, w1, z2), list_horner2(C, w1, z2))
+
+    def test_read_only_inputs_are_not_written(self):
+        rng = np.random.default_rng(14)
+        P, x = wide_complex(rng, 5, 3, 1), wide_complex(rng, 3, 8)
+        C, z1, z2 = wide_complex(rng, 4, 4), wide_complex(rng, 50), wide_complex(rng, 50)
+        arrays = (P, x, C, z1, z2)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        _horner(P, x)
+        _horner(P[:, 0, 0], z1)
+        _horner2(C, z1, z2)
+        _horner2(C, z1[:1], z2[:1])
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_eval_grid_holds_one_pass_at_a_time(self):
+        n = 100_000
+        rng = np.random.default_rng(15)
+        z1, z2 = wide_complex(rng, n) * 1e-6, wide_complex(rng, n) * 1e-6
+        f = sum(
+            (GaussRational(a + 1, b - 2) * Z1**a * Z2**b for a in range(4) for b in range(7)),
+            BiPoly.zero(),
+        )
+        assert f.deg2 == 6
+        tracemalloc.start()
+        try:
+            eval_grid(f, z1, z2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the list form held all 7 z1 passes of 1.6 MB each (9 arrays at its
+        # peak); the streaming form holds the sum, one pass and one temporary
+        assert peak < 4 * z1.nbytes
 
 
 def aberth_rows(seed: int) -> np.ndarray:
