@@ -21,9 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
-from scipy.stats import qmc
 
 from .polyalg import BiPoly, poly_to_json
 from .rootfind import _horner2
@@ -127,14 +124,19 @@ class DomainSpec:
         return {"p": self.p, "q": self.q}
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of every entry, in x's shape."""
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _log_norm(domain: DomainSpec, a, b):
-    """log nu_ab, vectorized over integer arrays a, b."""
+    """log nu_ab, vectorized over integer arrays (or scalars) a, b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     alpha = (2.0 * a + 2.0) / domain.p
     beta = (2.0 * b + 2.0) / domain.q
     base = 2.0 * math.log(2.0 * math.pi) - math.log(domain.p) - math.log(domain.q)
-    return base + gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta + 1.0)
+    return base + _lgamma(alpha) + _lgamma(beta) - _lgamma(alpha + beta + 1.0)
 
 
 def monomial_norm(domain: DomainSpec, a: int, b: int) -> float:
@@ -304,8 +306,17 @@ def _warn_rank(R: np.ndarray, N_max: int) -> None:
     of a least-squares solve with rcond = RANK_RCOND.  Dropping columns
     cannot raise sigma_max or lower sigma_min (Cauchy interlacing), so a full
     R that passes clears every N, and once some N fails every larger N fails
-    too.
+    too.  Before any SVD, sigma_min / sigma_max >= 1 / (||R||_F ||R^-1||_F)
+    is tried: when that bound clears the rule with a factor of 100 to spare
+    for the rounding of the inverse, R has full rank.
     """
+    with np.errstate(all="ignore"):
+        try:
+            bound = 1.0 / (np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)))
+        except np.linalg.LinAlgError:  # an exactly singular R
+            bound = 0.0
+    if bound > 100.0 * RANK_RCOND:
+        return
 
     def rank(N: int) -> tuple[int, int]:
         k = (N + 1) * (N + 2) // 2
@@ -358,8 +369,7 @@ def _closure_points(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, 
     if n < 2 * CORNER_PHASES + 1:
         raise ValueError(f"need at least {2 * CORNER_PHASES + 1} samples")
     m = n - 2 * CORNER_PHASES - 1
-    u = qmc.Halton(d=4, seed=seed).random(m)
-    t, mix, th1, th2 = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
+    t, mix, th1, th2 = _halton4(m, seed)
     interior = np.clip(
         (t - BOUNDARY_FRACTION) / (1.0 - BOUNDARY_FRACTION), 0.0, 1.0
     ) ** 0.25
@@ -393,15 +403,46 @@ def sample_interior(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, 
 
 
 def _interior_points(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    u = qmc.Halton(d=4, seed=seed).random(n)
+    # the Beta inverse CDF is the only scipy use left, so scipy loads here,
+    # not when the package is imported
+    from scipy.special import betaincinv
+
+    u0, u1, th1, th2 = _halton4(n, seed)
     a1, a2, a3 = 2.0 / domain.p, 2.0 / domain.q, 1.0
-    gu = beta_dist.ppf(u[:, 0], a1, a2 + a3)
-    gv = (1.0 - gu) * beta_dist.ppf(u[:, 1], a2, a3)
+    gu = betaincinv(a1, a2 + a3, u0)
+    gv = (1.0 - gu) * betaincinv(a2, a3, u1)
     s1 = gu ** (1.0 / domain.p)
     s2 = gv ** (1.0 / domain.q)
-    z1 = s1 * np.exp(2j * np.pi * u[:, 2])
-    z2 = s2 * np.exp(2j * np.pi * u[:, 3])
+    z1 = s1 * np.exp(2j * np.pi * th1)
+    z2 = s2 * np.exp(2j * np.pi * th2)
     return _read_only(z1, z2)
+
+
+def _halton4(n: int, seed: int) -> np.ndarray:
+    """The first n points of a scrambled 4-d Halton sequence, as 4 rows.
+
+    Owen's random digit permutations (arXiv:1706.02808), drawn and applied as
+    scipy.stats.qmc.Halton(d=4, seed=seed).random(n) does, so the points are
+    the same bit for bit.  Base b gets one permutation per digit position k
+    while b^-k > 2^-54; a point adds perm_k[digit_k] * b^-(k+1) over every
+    position, least significant digit first, in the same order and rounding.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.zeros((4, n))
+    for x, b in zip(u, (2, 3, 5, 7)):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        scale = 1.0 / b
+        for perm in perms:
+            if q.any():
+                q, digit = np.divmod(q, b)
+                x += (perm * scale)[digit]
+            else:  # every remaining digit is 0
+                x += perm[0] * scale
+            scale /= b
+    return u
 
 
 def _read_only(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bergman import (
     MC_SAMPLES,
@@ -36,6 +35,7 @@ from .rootfind import (
     TOL_RES,
     FiberPoly,
     TrackError,
+    _nearest_pairing,
     segment_samples,
     solve_fibers,
     track,
@@ -457,8 +457,8 @@ def _continuation_check(
         if interp_sheets.size != true_sheets.size:
             continue
         cost = np.abs(interp_sheets[:, None] - true_sheets[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        if cost[rows, cols].max() < ONCOMP_TOL * (1.0 + np.abs(true_sheets).max()):
+        tol = ONCOMP_TOL * (1.0 + np.abs(true_sheets).max())
+        if _nearest_pairing(cost) is not None and cost.min(axis=1).max() < tol:
             return True
     return False
 

@@ -7,9 +7,10 @@ f(z1, z2) = 0 in z2 along a path of z1 values.  Each step first tries a warm
 corrector: a few batched Newton steps on every sheet, starting from the
 previous fiber, which keep the rows aligned.  When Newton does not converge,
 or the corrected step breaks the separation rule, the step falls back to a
-cold Aberth solve paired with the previous fiber by a distance-minimal
-assignment.  The tracker refuses to jump: when the pairing moves a root by
-half the minimum root separation or more, the parameter step is bisected.
+cold Aberth solve whose roots are paired with the previous fiber's
+nearest ones.  The tracker refuses to jump: when two roots pick the same
+partner, or the pairing moves a root by half the minimum root separation or
+more, the parameter step is bisected.
 The last sample of every path is always solved cold, so the end fiber does
 not depend on the corrector.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .polyalg import BiPoly, UniPoly
 
@@ -426,12 +426,23 @@ class TrackedPath:
         if abs(self.samples[-1] - self.samples[0]) > 1e-12:
             raise ValueError("path is not a closed loop")
         start, end = self.fibers[0], self.fibers[-1]
-        cost = np.abs(end[:, None] - start[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        perm = [0] * len(start)
-        for r, c in zip(rows, cols):
-            perm[r] = int(c)
-        return tuple(perm)
+        cols = _nearest_pairing(np.abs(end[:, None] - start[None, :]))
+        if cols is None:
+            raise TrackError("the loop's end fiber does not pair one to one with its start")
+        return tuple(cols.tolist())
+
+
+def _nearest_pairing(cost: np.ndarray) -> np.ndarray | None:
+    """cols[i] = the column nearest row i, or None when that is no permutation.
+
+    When every row's pick costs less than half the gap to any other column,
+    as the separation rule demands, the picks form the unique least-cost
+    assignment; when two rows pick one column the pairing is ambiguous.
+    """
+    cols = cost.argmin(axis=1)
+    if len(set(cols.tolist())) != len(cols):
+        return None
+    return cols
 
 
 def _min_separation(roots: np.ndarray) -> float:
@@ -497,11 +508,12 @@ def track(f, path, fiber0: RootSet | None = None) -> TrackedPath:
     loop when first == last).  Each step first runs the warm Newton
     corrector from the current fiber.  If it does not converge, or moves a
     root by half the minimum root separation or more, the step falls back
-    to a cold Aberth solve paired with the current fiber by a
-    distance-minimal assignment; a cold step that breaks the same rule is
-    bisected, and the whole track fails with TrackError if bisection bottoms
-    out.  The last sample is always solved cold and paired by assignment,
-    so the end fiber is the same whatever the corrector did on the way.
+    to a cold Aberth solve, each current root taking its nearest new root;
+    a cold step whose picks are not one to one, or that breaks the same
+    rule, is bisected, and the whole track fails with TrackError if
+    bisection bottoms out.  The last sample is always solved cold and
+    paired the same way, so the end fiber is the same whatever the
+    corrector did on the way.
     """
     fp = f if isinstance(f, FiberPoly) else FiberPoly(f)
     path = np.asarray(path, dtype=np.complex128).ravel()
@@ -533,10 +545,9 @@ def track(f, path, fiber0: RootSet | None = None) -> TrackedPath:
             if new is None or not _step_ok(cur, new):
                 new = _fiber_at(fp, b)
                 cold_solves += 1
-                cost = np.abs(cur[:, None] - new[None, :])
-                rows, cols = linear_sum_assignment(cost)
-                new = new[cols[np.argsort(rows)]]
-                if not _step_ok(cur, new):
+                cols = _nearest_pairing(np.abs(cur[:, None] - new[None, :]))
+                new = None if cols is None else new[cols]
+                if new is None or not _step_ok(cur, new):
                     if depth >= MAX_BISECTIONS:
                         raise TrackError(
                             f"pairing stayed ambiguous after {MAX_BISECTIONS} "

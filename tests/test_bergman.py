@@ -12,15 +12,19 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.stats import qmc
 
 from oracles import mc_monomial_norm
 
 from nullsatz import bergman
 from nullsatz.bergman import (
     DENOM_FLOOR,
+    N_MAX,
     RankDeficiencyWarning,
     DensityCertificate,
     DomainError,
@@ -44,6 +48,7 @@ from nullsatz.bergman import (
     sample_interior,
     volume,
 )
+from nullsatz.cli import main
 from nullsatz.hopf import ball_ratio_sup
 from nullsatz.polyalg import BiPoly, GaussRational
 from nullsatz.rootfind import FiberPoly, _horner
@@ -52,6 +57,7 @@ Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
 BALL = DomainSpec.ball()
 SIMPLEX = DomainSpec(1.0, 1.0)
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 class TestDomainSpec:
@@ -140,6 +146,24 @@ class TestMonomialNorm:
     def test_large_degree_no_overflow(self):
         v = monomial_norm(BALL, 80, 80)
         assert 0 < v < 1
+
+    @pytest.mark.parametrize("domain", [BALL, SIMPLEX, DomainSpec(1.0, 3.0)],
+                             ids=["ball", "1_1", "1_3"])
+    def test_log_norm_matches_gammaln(self, domain):
+        # math.lgamma against scipy's gammaln on the N_MAX table.  Each log
+        # term is good to about an ulp, so the sum may move by a few ulps of
+        # the largest term: 4 eps times the sum of the terms' magnitudes.
+        a, b = np.array([(a, s - a) for s in range(N_MAX + 1) for a in range(s + 1)]).T
+        alpha, beta = (2.0 * a + 2.0) / domain.p, (2.0 * b + 2.0) / domain.q
+        base = 2.0 * math.log(2.0 * math.pi) - math.log(domain.p) - math.log(domain.q)
+        terms = [gammaln(alpha), gammaln(beta), gammaln(alpha + beta + 1.0)]
+        want = base + terms[0] + terms[1] - terms[2]
+        scale = abs(base) + sum(np.abs(t) for t in terms)
+        got = bergman._log_norm(domain, a, b)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+        # scalar input takes the same arithmetic
+        for ai, bi, g in zip(a[::17], b[::17], got[::17]):
+            assert bergman._log_norm(domain, int(ai), int(bi)) == g
 
 
 class TestNormTable:
@@ -364,6 +388,21 @@ class TestProjectionProfile:
         assert "at N = " in msg and "regularized" not in msg
         assert cert.status == STATUS_DENSE
 
+    def test_full_rank_system_skips_the_svd(self, monkeypatch, capsys):
+        # the norm bound proves full rank for princ_two at N_max = 20, so no
+        # SVD runs
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert main(["density", "--poly", str(DATA / "princ_two.json")]) == 0
+        capsys.readouterr()
+        assert calls == []
+
     def test_ball_system_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RankDeficiencyWarning)
@@ -372,6 +411,12 @@ class TestProjectionProfile:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_halton_matches_scipy_bit_for_bit(self, seed):
+        for n in (19, 1000, 20_000, 100_000):
+            want = qmc.Halton(d=4, seed=seed).random(n)
+            assert np.array_equal(bergman._halton4(n, seed).T, want)
+
     def test_eval_grid_matches_pointwise(self):
         rng = random.Random(3)
         f = (Z1 - 2) * (Z2 + GaussRational(0, 1)) + Z1**2 * Z2

@@ -2,14 +2,19 @@
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nullsatz
+from nullsatz import cli
 from nullsatz.cli import main
 from nullsatz.polyalg import BiPoly, poly_to_json
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+SRC = Path(nullsatz.__file__).resolve().parent.parent
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -200,3 +205,54 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "decompose", "--poly", path, "--seed", "1")
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 99
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, a usage error included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("usage error", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParserReuse:
+    def test_kept_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        calls = (
+            ["classify", "--ideal", str(DATA / "twolines.json"), "--domain", "ball"],
+            ["classify", "--ideal", str(DATA / "twolines.json"), "--bogus"],
+            ["density", "--poly", str(DATA / "princ_two.json"), "--mc-samples", "20000"],
+        )
+        cli._kept_parser.cache_clear()
+        kept = [outcome(capsys, argv) for argv in calls]
+        assert cli._kept_parser.cache_info().misses == 1
+        assert kept[1][0] == ("usage error", 2)
+        monkeypatch.setattr(cli, "_kept_parser", cli.build_parser)
+        assert [outcome(capsys, argv) for argv in calls] == kept
+
+
+class TestImportPath:
+    """scipy stays off the import path and out of one-shot calls that need none."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["norms", "--max-degree", "4", "--domain", "1,3"],
+        ["classify", "--ideal", str(DATA / "twolines.json"), "--domain", "ball"],
+    ], ids=["import", "norms", "classify"])
+    def test_no_scipy_module_loaded(self, argv):
+        code = (
+            "import contextlib, io, json, sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "import nullsatz, nullsatz.cli\n"
+            f"argv = {argv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = nullsatz.cli.main(argv) if argv else 0\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules\n"
+            "                                 if m.split('.')[0] == 'scipy')]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        status, loaded = json.loads(done.stdout)
+        assert status in cli.VERDICT_EXIT.values()
+        assert loaded == []

@@ -30,6 +30,8 @@ from nullsatz.rootfind import (
     _horner,
     _horner2,
     _min_separation,
+    _nearest_pairing,
+    _step_ok,
     all_roots,
     circle_samples,
     loop_samples,
@@ -454,12 +456,47 @@ class TestTrack:
         with pytest.raises(ValueError):
             tp.loop_permutation()
 
+    def test_ambiguous_loop_end_raises(self):
+        # both end roots lie nearest start root 0
+        tp = TrackedPath(
+            samples=np.array([0.5, 0.7, 0.5], dtype=complex),
+            fibers=np.array([[0.0, 1.0], [0.1, 0.9], [0.1, 0.2]], dtype=complex),
+        )
+        with pytest.raises(TrackError):
+            tp.loop_permutation()
+
     def test_fiber0_roundtrip(self):
         fp = FiberPoly(Z2**2 - Z1)
         start = all_roots(fp.coeffs_at(0.3 + 0j))
         path = circle_samples(0.0, 0.3, 64)
         tp = track(fp, path, fiber0=start)
         assert np.allclose(tp.start, start.as_array())
+
+
+class TestNearestPairing:
+    def test_matches_assignment_under_the_separation_rule(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 9))
+            cur = rng.normal(size=m) + 1j * rng.normal(size=m)
+            perm = rng.permutation(m)
+            radius = 0.5 * _min_separation(cur) * rng.uniform(0.0, 1.0, m)
+            moved = cur + radius * np.exp(2j * np.pi * rng.uniform(size=m))
+            new = np.empty(m, dtype=complex)
+            new[perm] = moved  # new[perm[i]] continues cur[i]
+            if not _step_ok(cur, moved):
+                continue
+            cost = np.abs(cur[:, None] - new[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert np.array_equal(_nearest_pairing(cost), cols[np.argsort(rows)])
+            checked += 1
+        assert checked >= 100
+
+    def test_shared_pick_is_rejected(self):
+        cost = np.array([[0.1, 1.0, 2.0], [0.2, 1.0, 2.0], [2.0, 1.0, 0.1]])
+        assert _nearest_pairing(cost) is None
+        assert _nearest_pairing(cost[[0, 2]][:, [0, 2]]).tolist() == [0, 1]
 
 
 def cold_track(fp, path, max_bisections=48):
