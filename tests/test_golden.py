@@ -29,7 +29,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,7 @@ from nullsatz.bergman import DomainSpec
 from nullsatz.cli import main
 from nullsatz.config import ENV_SEED
 from nullsatz.nullsatz import classify
-from nullsatz.polyalg import BiPoly
+from nullsatz.polyalg import BiPoly, GaussRational
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -63,8 +65,45 @@ def _cli_cases() -> dict[str, list[str]]:
 
 
 CLI_CASES = _cli_cases()
-LIBRARY_CASE = "library_classify_two_generators"
-CASES = sorted([*CLI_CASES, LIBRARY_CASE])
+
+
+def dense_pair(seed: int, degree: int) -> list[BiPoly]:
+    """Two dense generators of total degree `degree` with Gaussian-rational
+    coefficients p/q + i r/s, |p|, |r| <= 4, 1 <= q, s <= 4."""
+    rng = random.Random(seed)
+
+    def coeff() -> GaussRational:
+        return GaussRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+        )
+
+    return [
+        BiPoly({(a, b): coeff() for a in range(degree + 1) for b in range(degree + 1 - a)})
+        for _ in range(2)
+    ]
+
+
+def _two_generators() -> str:
+    # NEITHER: the parabola z2^2 = z1 meets the ball, the point (3, 2) does not
+    z1, z2 = BiPoly.var(1), BiPoly.var(2)
+    gens = [(z2**2 - z1) * (z2 - 2), (z2**2 - z1) * (z1 - 3)]
+    verdict = classify(gens, DomainSpec.ball())
+    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _dense_pair_5() -> str:
+    # 25 isolated points from a degree-25 resultant with large exact
+    # coefficients: pins the exact gcd, resultant and root path byte for byte
+    verdict = classify(dense_pair(5, 5), DomainSpec.parse("1,1"))
+    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+LIBRARY_CASES = {
+    "library_classify_two_generators": _two_generators,
+    "library_classify_dense_pair_5": _dense_pair_5,
+}
+CASES = sorted([*CLI_CASES, *LIBRARY_CASES])
 
 
 def _cli_report(argv: list[str]) -> str:
@@ -74,17 +113,9 @@ def _cli_report(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _library_report() -> str:
-    # NEITHER: the parabola z2^2 = z1 meets the ball, the point (3, 2) does not
-    z1, z2 = BiPoly.var(1), BiPoly.var(2)
-    gens = [(z2**2 - z1) * (z2 - 2), (z2**2 - z1) * (z1 - 3)]
-    verdict = classify(gens, DomainSpec.ball())
-    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def report(name: str) -> str:
-    if name == LIBRARY_CASE:
-        return _library_report()
+    if name in LIBRARY_CASES:
+        return LIBRARY_CASES[name]()
     return _cli_report(CLI_CASES[name])
 
 
