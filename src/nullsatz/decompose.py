@@ -448,14 +448,19 @@ def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
     gens = [g for g in generators if not g.is_zero]
     if len(gens) < 2:
         raise ValueError("zero_dim_solve needs at least two nonzero generators")
-    if any(g.is_constant for g in gens):
-        return []  # a unit lies in the system: no common zeros
     common = gcd_many(gens)
     if not common.is_constant:
         raise DecomposeError(
             "generators share the nonconstant factor "
             f"{common!r}; extract the curve part (gcd) before point solving"
         )
+    return _solve_points(gens)
+
+
+def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
+    """zero_dim_solve on two or more nonzero generators with a constant gcd."""
+    if any(g.is_constant for g in gens):
+        return []  # a unit lies in the system: no common zeros
 
     z2free = sorted(
         (g for g in gens if g.deg2 == 0), key=lambda g: g.deg1
@@ -559,7 +564,8 @@ def decompose_ideal(generators: list[BiPoly], seed: int = 0) -> VarietyDecomposi
     # isolated points
     points: list[IsolatedPoint] = []
     if len(residual) == len(gens) >= 2:
-        points = zero_dim_solve(residual)
+        # the cofactors of the gcd are coprime, so no second gcd is needed
+        points = _solve_points(residual)
         if not g.is_constant:
             gscale = _coeff_scale(g)
             points = [

@@ -15,14 +15,20 @@ Conventions:
   exact univariate polynomial in z1.
 
 Bivariate gcds and z2-resultants both come from one subresultant
-pseudo-remainder sequence in (Q(i)[z1])[z2] (Collins 1967; Brown & Traub
-1971): the gcd from its last nonzero element, the resultant from its end.
-Univariate gcds in Q(i)[z1] use the Euclidean algorithm with monic remainders.
+pseudo-remainder sequence (Collins 1967; Brown & Traub 1971): the gcd from
+its last nonzero element, the resultant from its end.  Univariate gcds run
+the same sequence with constant coefficients.  The sequence runs on Gaussian
+integers: gcd2, resultant_z2 and unipoly_gcd multiply each argument by the
+lcm of its coefficient denominators once, run it in (Z[i][z1])[z2] on pairs
+of Python ints, and convert the one element they need back to Q(i).
+``GaussRational``, ``UniPoly`` and ``BiPoly`` store ``Fraction`` pairs, and
+everything else (exact division, contents, evaluation) runs on them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -147,7 +153,8 @@ class GaussRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it must hash like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -297,18 +304,6 @@ class UniPoly:
             return "UniPoly(0)"
         parts = [f"{c!r}*x^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]
         return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd in Q(i)[x] by the Euclidean algorithm.
-
-    Every remainder is made monic, which keeps the Fraction sizes of the
-    remainder sequence from blowing up.
-    """
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r.monic()
-    return a.monic() if not a.is_zero else a
 
 
 class BiPoly:
@@ -616,17 +611,18 @@ def divides(g: BiPoly, f: BiPoly) -> bool:
 def content_pp_z2(f: BiPoly) -> tuple[UniPoly, BiPoly]:
     """Split f into (content, primitive part) viewing f in (Q(i)[z1])[z2].
 
-    The content is the monic gcd in Q(i)[z1] of the z2-coefficients; the
-    primitive part is the exact quotient.
+    The content is the monic gcd in Q(i)[z1] of the z2-coefficients, taken
+    from the lowest-degree one on; the primitive part is the exact quotient.
     """
     if f.is_zero:
         raise ZeroPolynomialError("content of the zero polynomial")
     cs = f.z2_coeffs()
-    cont = UniPoly()
+    cont = min((u for u in cs if not u.is_zero), key=lambda u: u.degree)
     for u in cs:
-        cont = unipoly_gcd(cont, u)
         if cont.degree == 0:
             break
+        if u is not cont:
+            cont = unipoly_gcd(cont, u)
     cont = cont.monic()
     if cont.degree == 0:
         return cont, f
@@ -634,15 +630,113 @@ def content_pp_z2(f: BiPoly) -> tuple[UniPoly, BiPoly]:
     return cont, pp
 
 
-def _upow(u: UniPoly, n: int) -> UniPoly:
-    out = UniPoly([GR_ONE])
-    for _ in range(n):
-        out = out * u
+# The Gaussian-integer kernel.  A Gaussian integer is an (re, im) pair of
+# ints.  A polynomial in Z[i][z1] is an ascending list of them with no
+# trailing zero (the empty list is 0), and one in (Z[i][z1])[z2] is an
+# ascending list of those.
+
+
+def _lcm_denominators(cs: Iterable[GaussRational]) -> int:
+    return math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+
+
+def _zi(c: GaussRational, d: int) -> tuple[int, int]:
+    # d * c, for a common multiple d of the denominators of c
+    return (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
+
+
+def _zi_z2(f: BiPoly) -> tuple[list, int]:
+    """(D f as a z2-list over Z[i][z1], D) for the lcm D of f's denominators."""
+    d = _lcm_denominators(f.terms.values())
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(f.deg2 + 1)]
+    for (a, b), c in f.terms.items():
+        row = rows[b]
+        if len(row) <= a:
+            row.extend([(0, 0)] * (a + 1 - len(row)))
+        row[a] = _zi(c, d)
+    return rows, d
+
+
+def _from_zi_z2(rows: list) -> BiPoly:
+    return BiPoly(
+        {
+            (a, b): GaussRational(re, im)
+            for b, row in enumerate(rows)
+            for a, (re, im) in enumerate(row)
+            if re or im
+        }
+    )
+
+
+def _zmul(u: list, v: list) -> list:
+    if not u or not v:
+        return []
+    n = len(u) + len(v) - 1
+    re, im = [0] * n, [0] * n
+    for i, (ar, ai) in enumerate(u):
+        if ar or ai:
+            for j, (br, bi) in enumerate(v, i):
+                re[j] += ar * br - ai * bi
+                im[j] += ar * bi + ai * br
+    return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
+
+
+def _zsub(u: list, v: list) -> list:
+    out = list(u)
+    out.extend([(0, 0)] * (len(v) - len(u)))
+    for i, (br, bi) in enumerate(v):
+        ar, ai = out[i]
+        out[i] = (ar - br, ai - bi)
+    while out and out[-1] == (0, 0):
+        out.pop()
     return out
 
 
-def _prem_z2(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    """lc(B)^(deg A - deg B + 1) * A mod B for z2-coefficient lists.
+def _zpow(u: list, n: int) -> list:
+    out = [(1, 0)]
+    for _ in range(n):
+        out = _zmul(out, u)
+    return out
+
+
+def _zdiv(u: list, v: list) -> list:
+    """Exact quotient u / v in Z[i][z1], by the leading coefficient of v.
+
+    Raises ExactDivisionError when a Gaussian quotient is inexact or a
+    remainder is left.
+    """
+    if v == [(1, 0)]:
+        return u
+    dv = len(v) - 1
+    cr, ci = v[-1]
+    norm = cr * cr + ci * ci
+    re = [x for x, _ in u]
+    im = [y for _, y in u]
+    low = v[:dv]
+    q = [(0, 0)] * max(0, len(u) - dv)
+    for k in range(len(u) - 1 - dv, -1, -1):
+        xr, xi = re[k + dv], im[k + dv]
+        if not (xr or xi):
+            continue
+        if ci:  # x / c = x conj(c) / |c|^2
+            xr, xi, d = xr * cr + xi * ci, xi * cr - xr * ci, norm
+        else:
+            d = cr
+        qr, rr = divmod(xr, d)
+        qi, ri = divmod(xi, d)
+        if rr or ri:
+            raise ExactDivisionError("Gaussian-integer division left a remainder")
+        q[k] = (qr, qi)
+        for i, (br, bi) in enumerate(low):  # the top term cancels exactly
+            re[k + i] -= qr * br - qi * bi
+            im[k + i] -= qr * bi + qi * br
+    if any(re[:dv]) or any(im[:dv]):
+        raise ExactDivisionError("Gaussian-integer division left a remainder")
+    return q
+
+
+def _zprem(a: list, b: list) -> list:
+    """lc(B)^(deg A - deg B + 1) * A mod B for z2-lists over Z[i][z1].
 
     Every quotient term costs one factor lc(B), even when its coefficient is
     zero: the subresultant divisions need the full power.
@@ -652,25 +746,25 @@ def _prem_z2(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
     r = list(a)
     for k in range(len(a) - 1 - db, -1, -1):
         lr = r.pop()  # coefficient of z2^(k + db)
-        r = [lcb * c for c in r]
-        if not lr.is_zero:
+        r = [_zmul(lcb, c) for c in r]
+        if lr:
             for i in range(db):
-                r[k + i] = r[k + i] - lr * b[i]
-    while r and r[-1].is_zero:
+                r[k + i] = _zsub(r[k + i], _zmul(lr, b[i]))
+    while r and not r[-1]:
         r.pop()
     return r
 
 
-def _subresultant_prs(a: list[UniPoly], b: list[UniPoly]):
-    """Subresultant PRS of nonzero z2-coefficient lists (Cohen, GTM 138, 3.3.7).
+def _subresultant_prs(a: list, b: list):
+    """Subresultant PRS of nonzero z2-lists over Z[i][z1] (Cohen, GTM 138, 3.3.7).
 
     Orders the pair so deg A >= deg B, then steps (A, B) <- (B, prem(A, B) /
     (g h^delta)), g <- lc(A), h <- g^delta / h^(delta - 1), every division
-    exact in Q(i)[z1], until B is zero or free of z2.  Returns (A, B, h, s):
+    exact in Z[i][z1], until B is zero or free of z2.  Returns (A, B, h, s):
     the last two elements, the final h, and the sign (-1)^(deg A deg B)
     accumulated over the swap and the steps.
     """
-    g = h = UniPoly([GR_ONE])
+    g = h = [(1, 0)]
     s = 1
     if len(a) < len(b):
         a, b = b, a
@@ -679,21 +773,52 @@ def _subresultant_prs(a: list[UniPoly], b: list[UniPoly]):
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         s *= (-1) ** (da * db)
-        div = g * _upow(h, delta)
-        a, b = b, [c.exact_div(div) for c in _prem_z2(a, b)]
+        div = _zmul(g, _zpow(h, delta))
+        a, b = b, [_zdiv(c, div) for c in _zprem(a, b)]
         g = a[-1]
         if delta:
-            h = _upow(g, delta).exact_div(_upow(h, delta - 1))
+            h = _zdiv(_zpow(g, delta), _zpow(h, delta - 1))
     return a, b, h, s
+
+
+def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd in Q(i)[x]; the zero polynomial when both are zero.
+
+    Clears denominators once and runs the subresultant PRS of gcd2 with each
+    coefficient a constant of Z[i][z1].  The last nonzero element is made
+    monic over Q(i) once.
+    """
+    if b.is_zero:
+        return a.monic()
+    if a.is_zero:
+        return b.monic()
+    if a.is_constant or b.is_constant:
+        return UniPoly([GR_ONE])
+
+    def scalars(u: UniPoly) -> list:
+        d = _lcm_denominators(u.coeffs)
+        return [[_zi(c, d)] if not c.is_zero else [] for c in u.coeffs]
+
+    x, y, _, _ = _subresultant_prs(scalars(a), scalars(b))
+    if y:
+        return UniPoly([GR_ONE])
+    cr, ci = x[-1][0]
+    n = cr * cr + ci * ci
+    return UniPoly(
+        [
+            GaussRational(Fraction(re * cr + im * ci, n), Fraction(im * cr - re * ci, n))
+            for re, im in (c[0] if c else (0, 0) for c in x)
+        ]
+    )
 
 
 def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact gcd in Q(i)[z1, z2], normalized lex-monic (z2 before z1).
 
     The gcd of the z2-contents times the primitive part of the last nonzero
-    element of the subresultant PRS of the primitive parts.  If that element
-    is free of z2 its primitive part is a constant, so z2-free arguments need
-    no branch of their own.
+    element of the subresultant PRS of the primitive parts, run on Z[i] after
+    each part is cleared of denominators.  When that element is free of z2
+    (always so for a z2-free argument) the primitive parts are coprime.
     """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
@@ -701,9 +826,12 @@ def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
         return lex_monic(f + g)
     cf, pf = content_pp_z2(f)
     cg, pg = content_pp_z2(g)
-    a, b, _, _ = _subresultant_prs(pf.z2_coeffs(), pg.z2_coeffs())
-    _, gpp = content_pp_z2(BiPoly.from_z2_coeffs(b or a))
-    return lex_monic(BiPoly.from_unipoly_z1(unipoly_gcd(cf, cg)) * gpp)
+    cont = BiPoly.from_unipoly_z1(unipoly_gcd(cf, cg))
+    a, b, _, _ = _subresultant_prs(_zi_z2(pf)[0], _zi_z2(pg)[0])
+    if b:
+        return cont
+    _, gpp = content_pp_z2(_from_zi_z2(a))
+    return lex_monic(cont * gpp)
 
 
 def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
@@ -711,20 +839,26 @@ def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
 
     Read off the end of the subresultant PRS (Collins 1967; Brown & Traub
     1971): s * lc(B)^deg A / h^(deg A - 1) for the last, z2-free element B.
-    The actual z2-degrees fix the Sylvester matrix, so a z2-free argument c
-    gives c^deg of the other, in either order.  Vanishes exactly where f and
-    g share a z2-root or both leading z2-coefficients vanish, and identically
-    when they share a factor that involves z2.
+    The PRS runs on D_f f and D_g g, cleared of denominators, and the result
+    is divided once by D_f^(deg2 g) D_g^(deg2 f).  The actual z2-degrees fix
+    the Sylvester matrix, so a z2-free argument c gives c^deg of the other,
+    in either order.  Vanishes exactly where f and g share a z2-root or both
+    leading z2-coefficients vanish, and identically when they share a factor
+    that involves z2.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("resultant with a zero polynomial")
     if f.deg2 < 1 and g.deg2 < 1:
         raise ValueError("resultant needs z2-degree >= 1 in at least one argument")
-    a, b, h, s = _subresultant_prs(f.z2_coeffs(), g.z2_coeffs())
+    fz, df = _zi_z2(f)
+    gz, dg = _zi_z2(g)
+    a, b, h, s = _subresultant_prs(fz, gz)
     if not b:
         return UniPoly()
     da = len(a) - 1
-    return _upow(b[0], da).exact_div(_upow(h, da - 1)) * s
+    r = _zdiv(_zpow(b[0], da), _zpow(h, da - 1))
+    d = s * df ** g.deg2 * dg ** f.deg2
+    return UniPoly([GaussRational(Fraction(re, d), Fraction(im, d)) for re, im in r])
 
 
 def gcd_many(polys: Iterable[BiPoly]) -> BiPoly:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import nullsatz.decompose as dec
+import nullsatz.polyalg as polyalg
+from nullsatz.bergman import DomainSpec
 from nullsatz.decompose import (
     CurveComponent,
     DecomposeError,
@@ -19,6 +21,7 @@ from nullsatz.decompose import (
     decompose_ideal,
     zero_dim_solve,
 )
+from nullsatz.nullsatz import classify
 from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2
 from nullsatz.rootfind import _UnionFind
 
@@ -358,6 +361,24 @@ class TestDecomposeIdeal:
         z1, z2 = dec.points[0].location
         assert z1 == pytest.approx(2.0, abs=1e-8)
         assert abs(z2) < 1e-8
+
+    def test_point_path_takes_one_gcd(self, monkeypatch):
+        # decompose_ideal hands its coprime cofactors straight to the point
+        # solver, which does not take their gcd again
+        real = polyalg.gcd_many
+        calls = []
+
+        def spy(polys):
+            calls.append(polys)
+            return real(polys)
+
+        monkeypatch.setattr(dec, "gcd_many", spy)
+        monkeypatch.setattr(polyalg, "gcd_many", spy)
+        for gens in ([Z1 - 2, Z2], [Z2**2 - Z1, Z2 + 2, Z1 - 4]):
+            calls.clear()
+            verdict = classify(gens, DomainSpec.ball())
+            assert len(verdict.results) == 1
+            assert len(calls) == 1
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from nullsatz.polyalg import (
     squarefree,
     unipoly_gcd,
 )
+from nullsatz.polyalg import _zdiv, _zmul
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -141,6 +142,16 @@ class TestGaussRational:
             if not c.is_zero:
                 assert (a * c) / c == a
 
+    def test_hash_agrees_with_equality(self):
+        for x in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-22, 7)):
+            g = GaussRational(x)
+            assert g == x and hash(g) == hash(x)
+            assert x in {g} and g in {x}
+            assert {x: "x"}[g] == "x" and {g: "g"}[x] == "g"
+        c = GaussRational(Fraction(1, 2), 3)
+        assert c in {GaussRational(Fraction(2, 4), 3)}
+        assert Fraction(1, 2) not in {c}
+
 
 # ---------------------------------------------------------------------------
 # UniPoly
@@ -165,9 +176,9 @@ class TestUniPoly:
         q = UniPoly([3, -4, 1])
         g = unipoly_gcd(p, q)
         assert g == UniPoly([-1, 1])
-        # degree 13 and 12 with a planted degree-4 common factor: long
-        # remainder sequences whose Fraction sizes blow up unless reduced;
-        # sympy gives the expected gcd
+        # degree 13 and 12 with a planted degree-4 common factor: a long
+        # remainder sequence with growing coefficients; sympy gives the
+        # expected gcd
         rng = random.Random(29)
         h, a, b = (
             UniPoly([random_gauss(rng) for _ in range(n)] + [GaussRational(1)])
@@ -544,6 +555,131 @@ class TestResultantZ2:
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             resultant_z2(BiPoly.zero(), Z2)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-integer kernel behind gcd2, resultant_z2 and unipoly_gcd
+# ---------------------------------------------------------------------------
+
+
+def wide_gauss(rng: random.Random) -> GaussRational:
+    """p/q + i r/s with mixed denominators up to 10^4."""
+    return GaussRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 10**4)),
+        Fraction(rng.randint(-9, 9), rng.choice((1, 3, 10**4, rng.randint(1, 10**4)))),
+    )
+
+
+def dense_bipoly(rng: random.Random, d1: int, d2: int) -> BiPoly:
+    """Every term z1^a z2^b, a <= d1, b <= d2, with a nonzero coefficient."""
+    terms = {}
+    for a in range(d1 + 1):
+        for b in range(d2 + 1):
+            c = wide_gauss(rng)
+            terms[(a, b)] = c if not c.is_zero else GaussRational(1)
+    return BiPoly(terms)
+
+
+def qq_i_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd over QQ_I from sympy, lex-monic like gcd2."""
+    ring_gens = (_s2, _s1)
+    pf = sp.Poly(to_sympy(f), *ring_gens, domain="QQ_I")
+    pg = sp.Poly(to_sympy(g), *ring_gens, domain="QQ_I")
+    return lex_monic(from_sympy(pf.gcd(pg).as_expr()))
+
+
+def _vanishing_lead_pair(rng: random.Random) -> tuple[BiPoly, BiPoly]:
+    # the z2-leading coefficient of f vanishes at z1 = 1/3, that of g at
+    # z1 = -2 + i/7: the resultant has those roots from the leading terms
+    c = GaussRational(-2, Fraction(1, 7))
+    f = (Z1 - GaussRational(Fraction(1, 3))) * Z2**3 + dense_bipoly(rng, 2, 2)
+    g = (Z1 - c) * (Z1 + 1) * Z2**2 + dense_bipoly(rng, 3, 1)
+    return f, g
+
+
+def _zi_oracle_pairs() -> list[tuple[BiPoly, BiPoly]]:
+    rng = random.Random(1009)
+    pairs = [
+        (dense_bipoly(rng, d1, d2), dense_bipoly(rng, e1, e2))
+        for d1, d2, e1, e2 in ((1, 1, 1, 1), (2, 3, 3, 2), (3, 2, 2, 3), (2, 5, 2, 2), (1, 4, 3, 4))
+    ]
+    pairs.append((dense_bipoly(rng, 3, 3), dense_bipoly(rng, 4, 0)))  # z2-free second
+    pairs.append((dense_bipoly(rng, 2, 0), dense_bipoly(rng, 3, 2)))  # z2-free first
+    pairs.append(_vanishing_lead_pair(rng))
+    h = dense_bipoly(rng, 1, 1)
+    pairs.append((h * dense_bipoly(rng, 2, 1), h * dense_bipoly(rng, 1, 2)))  # shared factor
+    return pairs
+
+
+ZI_ORACLE_PAIRS = _zi_oracle_pairs()
+
+
+class TestGaussianIntegerKernel:
+    """gcd2, resultant_z2 and unipoly_gcd clear denominators once and run the
+    PRS on Gaussian integers; sympy over QQ_I is the oracle."""
+
+    @pytest.mark.parametrize("k", range(len(ZI_ORACLE_PAIRS)))
+    def test_resultant_vs_sympy(self, k):
+        f, g = ZI_ORACLE_PAIRS[k]
+        for a, b in ((f, g), (g, f)):
+            assert BiPoly.from_unipoly_z1(resultant_z2(a, b)) == sympy_resultant_z2(a, b)
+
+    @pytest.mark.parametrize("k", range(len(ZI_ORACLE_PAIRS)))
+    def test_gcd2_vs_sympy(self, k):
+        f, g = ZI_ORACLE_PAIRS[k]
+        assert gcd2(f, g) == gcd2(g, f) == qq_i_gcd(f, g)
+
+    def test_shared_factor(self):
+        f, g = ZI_ORACLE_PAIRS[-1]
+        assert resultant_z2(f, g).is_zero
+        assert not gcd2(f, g).is_constant
+
+    def test_unipoly_gcd_vs_sympy(self):
+        rng = random.Random(1013)
+        for n in range(1, 6):
+            h = UniPoly([wide_gauss(rng) for _ in range(n)] + [wide_gauss(rng)])
+            a = UniPoly([wide_gauss(rng) for _ in range(6 - n)] + [GaussRational(1)])
+            b = UniPoly([wide_gauss(rng) for _ in range(5)] + [GaussRational(3, 1)])
+            for f, g in ((h * a, h * b), (a, b), (h * a, b)):
+                expected = qq_i_gcd(BiPoly.from_unipoly_z1(f), BiPoly.from_unipoly_z1(g))
+                assert unipoly_gcd(f, g) == unipoly_gcd(g, f) == expected.as_unipoly_z1()
+
+    def test_unipoly_gcd_zero_and_constant_arguments(self):
+        u = UniPoly([GaussRational(Fraction(1, 3)), GaussRational(0, 2)])
+        assert unipoly_gcd(u, UniPoly()) == unipoly_gcd(UniPoly(), u) == u.monic()
+        assert unipoly_gcd(UniPoly(), UniPoly()).is_zero
+        assert unipoly_gcd(u, UniPoly([GaussRational(5)])) == UniPoly([1])
+
+    def test_resultant_scales_by_degree_powers(self):
+        c = GaussRational(Fraction(3, 7), Fraction(-1, 9999))
+        d = GaussRational(Fraction(-5, 4), 0)
+        for f, g in ZI_ORACLE_PAIRS[:3] + ZI_ORACLE_PAIRS[5:8]:
+            scale = GaussRational(1)
+            for _ in range(g.deg2):
+                scale = scale * c
+            for _ in range(f.deg2):
+                scale = scale * d
+            assert resultant_z2(f * c, g * d) == resultant_z2(f, g) * scale
+
+    def test_gcd_is_free_of_scale(self):
+        c = GaussRational(Fraction(-2, 9973), Fraction(5, 3))
+        for f, g in ZI_ORACLE_PAIRS:
+            assert gcd2(f * c, g) == gcd2(f, g * c) == gcd2(f, g)
+
+    def test_exact_division_raises_on_a_non_divisor(self):
+        one_plus_i = [(1, 1)]
+        assert _zdiv([(2, 0)], one_plus_i) == [(1, -1)]
+        with pytest.raises(ExactDivisionError):
+            _zdiv([(1, 0)], one_plus_i)  # 1 / (1 + i) is not in Z[i]
+        with pytest.raises(ExactDivisionError):
+            _zdiv([(1, 0), (1, 0)], [(2, 0)])  # (1 + x) / 2
+        with pytest.raises(ExactDivisionError):
+            _zdiv([(1, 0), (0, 0), (1, 0)], [(2, 0), (1, 0)])  # x^2 + 1 = (x + 2)(x - 2) + 5
+        with pytest.raises(ExactDivisionError):
+            _zdiv([(1, 0)], [(2, 0), (1, 0)])  # lower degree, nonzero
+        u = [(3, -1), (0, 2), (-4, 0)]
+        v = [(1, 1), (2, -3)]
+        assert _zdiv(_zmul(u, v), v) == u
 
 
 # ---------------------------------------------------------------------------
