@@ -67,7 +67,7 @@ def _cli_cases() -> dict[str, list[str]]:
 CLI_CASES = _cli_cases()
 
 
-def dense_pair(seed: int, degree: int) -> list[BiPoly]:
+def _dense_pair(seed: int, degree: int) -> list[BiPoly]:
     """Two dense generators of total degree `degree` with Gaussian-rational
     coefficients p/q + i r/s, |p|, |r| <= 4, 1 <= q, s <= 4."""
     rng = random.Random(seed)
@@ -84,25 +84,21 @@ def dense_pair(seed: int, degree: int) -> list[BiPoly]:
     ]
 
 
-def _two_generators() -> str:
-    # NEITHER: the parabola z2^2 = z1 meets the ball, the point (3, 2) does not
+def _library_cases() -> dict[str, tuple[list[BiPoly], DomainSpec]]:
     z1, z2 = BiPoly.var(1), BiPoly.var(2)
-    gens = [(z2**2 - z1) * (z2 - 2), (z2**2 - z1) * (z1 - 3)]
-    verdict = classify(gens, DomainSpec.ball())
-    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return {
+        # NEITHER: the parabola z2^2 = z1 meets the ball, the point (3, 2) does not
+        "library_classify_two_generators": (
+            [(z2**2 - z1) * (z2 - 2), (z2**2 - z1) * (z1 - 3)],
+            DomainSpec.ball(),
+        ),
+        # 25 isolated points from a degree-25 resultant with large exact
+        # coefficients: pins the exact gcd, resultant and root path
+        "library_classify_dense_pair_5": (_dense_pair(5, 5), DomainSpec.parse("1,1")),
+    }
 
 
-def _dense_pair_5() -> str:
-    # 25 isolated points from a degree-25 resultant with large exact
-    # coefficients: pins the exact gcd, resultant and root path byte for byte
-    verdict = classify(dense_pair(5, 5), DomainSpec.parse("1,1"))
-    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-LIBRARY_CASES = {
-    "library_classify_two_generators": _two_generators,
-    "library_classify_dense_pair_5": _dense_pair_5,
-}
+LIBRARY_CASES = _library_cases()
 CASES = sorted([*CLI_CASES, *LIBRARY_CASES])
 
 
@@ -113,9 +109,14 @@ def _cli_report(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _library_report(name: str) -> str:
+    verdict = classify(*LIBRARY_CASES[name])
+    return json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
 def report(name: str) -> str:
     if name in LIBRARY_CASES:
-        return LIBRARY_CASES[name]()
+        return _library_report(name)
     return _cli_report(CLI_CASES[name])
 
 
