@@ -6,7 +6,7 @@ factors are computed exactly, then each factor splits into vertical lines
 components are recovered as monodromy orbits: the z2-sheets over a generic
 base point are carried around every branch point, and sheets that exchange
 belong to the same component.  The point part comes from resultant
-elimination plus Newton refinement on the residual generators.
+elimination plus one batched Newton refinement on the residual generators.
 
 Float geometry never feeds back into exact algebra: orbits and witness
 points are numeric evidence attached to exactly-known parent factors.
@@ -35,7 +35,6 @@ from .rootfind import (
     RootFindError,
     RootSet,
     TrackError,
-    _horner,
     _horner2,
     _UnionFind,
     all_roots,
@@ -395,46 +394,93 @@ def decompose_curve(
 # ---------------------------------------------------------------------------
 
 
-def _z2_rows(g: BiPoly) -> list[list[complex]]:
-    """g's z2-coefficients as complex z1-coefficient lists, converted once."""
-    return [[complex(c) for c in u.coeffs] for u in g.z2_coeffs()]
+def _row_stack(polys: list[BiPoly]) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of polys, zero-padded to one stack and split into its
+    real and imaginary parts: [p, b, a] multiplies z1^a z2^b in polys[p]."""
+    mats = [g.coeff_matrix() for g in polys]
+    stack = np.zeros(
+        (len(mats), max(m.shape[1] for m in mats), max(m.shape[0] for m in mats)),
+        dtype=np.complex128,
+    )
+    for p, m in enumerate(mats):
+        stack[p, : m.shape[1], : m.shape[0]] = m.T
+    return np.ascontiguousarray(stack.real), np.ascontiguousarray(stack.imag)
 
 
-def _eval_rows(rows: list[list[complex]], x1: complex, x2: complex) -> complex:
-    """g(x1, x2) from _z2_rows(g); the same Horner order as BiPoly.eval.
+def _eval_stack(
+    re: np.ndarray, im: np.ndarray, x1: np.ndarray, x2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every polynomial of a _row_stack at the points (x1[i], x2[i]): the real
+    and imaginary parts of the values, each of shape (polynomials, points).
 
-    Horner in z1 on each row, then in z2 over the row values, so every float
-    matches BiPoly.eval(x1, x2) bit for bit.
+    The double Horner of BiPoly.eval (in z1 along each z2-row, then in z2
+    over the row values), run on split parts in the order of CPython's
+    complex product and sum, so every float equals BiPoly.eval's at a finite
+    point.  numpy's complex multiply rounds differently (in about two of
+    five random products), so rootfind._horner would move the refined
+    points.  The zero padding only adds leading steps that keep the sum +0.
     """
-    if not rows:
-        return 0j
-    return _horner([_horner(r, x1) if r else 0j for r in rows], x2)
-
-
-def _newton_refine(
-    system: list[list[list[complex]]], z0: tuple[complex, complex]
-) -> tuple[complex, complex]:
-    """Newton on gA = gB = 0; system holds the _z2_rows of gA, gB, d/dz1 gA,
-    d/dz2 gA, d/dz1 gB and d/dz2 gB, in that order."""
-    A, B, A1, A2, B1, B2 = system
-    z = np.array([complex(z0[0]), complex(z0[1])])
-    for _ in range(NEWTON_ITERS):
-        x1, x2 = complex(z[0]), complex(z[1])
-        F = np.array([_eval_rows(A, x1, x2), _eval_rows(B, x1, x2)])
-        J = np.array(
-            [
-                [_eval_rows(A1, x1, x2), _eval_rows(A2, x1, x2)],
-                [_eval_rows(B1, x1, x2), _eval_rows(B2, x1, x2)],
-            ]
+    x1r, x1i, x2r, x2i = x1.real, x1.imag, x2.real, x2.imag
+    rr = np.zeros(re.shape[:2] + x1.shape)
+    ri = np.zeros_like(rr)
+    for a in range(re.shape[2] - 1, -1, -1):
+        rr, ri = (
+            (rr * x1r - ri * x1i) + re[:, :, a, None],
+            (rr * x1i + ri * x1r) + im[:, :, a, None],
         )
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-14 * (1.0 + np.abs(J).max()) ** 2:
+    vr = np.zeros(re.shape[:1] + x1.shape)
+    vi = np.zeros_like(vr)
+    for b in range(re.shape[1] - 1, -1, -1):
+        vr, vi = (vr * x2r - vi * x2i) + rr[:, b], (vr * x2i + vi * x2r) + ri[:, b]
+    return vr, vi
+
+
+@np.errstate(all="ignore")
+def _refine_points(
+    system: tuple[np.ndarray, np.ndarray],
+    gens: tuple[np.ndarray, np.ndarray],
+    starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on gA = gB = 0 from every start (z1, z2) at once, then every
+    generator's residual |g| at each result.
+
+    system is the _row_stack of gA, gB, d/dz1 gA, d/dz2 gA, d/dz1 gB and
+    d/dz2 gB; gens that of the generators.  Returns the points (n, 2) and
+    the residuals (generators, n).  A start stops, without a step, once its
+    Jacobian determinant falls below the guard; after a step below 1e-15
+    relative; or after NEWTON_ITERS iterations.  Each start comes out bit
+    for bit as it would refined alone with complex scalars: the determinant
+    takes separately rounded products, |det| is hypot, the guard squares by
+    libm pow as a float64 scalar does, and LAPACK solves each 2x2 system of
+    the stack on its own.  A start that diverges overflows silently.
+    """
+    z = starts.copy()
+    act = np.arange(len(z))
+    for _ in range(NEWTON_ITERS):
+        if not act.size:
             break
-        step = np.linalg.solve(J, F)
-        z = z - step
-        if np.abs(step).max() < 1e-15 * (1.0 + np.abs(z).max()):
+        za = z[act]
+        vr, vi = _eval_stack(*system, za[:, 0], za[:, 1])
+        v = np.empty(vr.shape, dtype=np.complex128)
+        v.real, v.imag = vr, vi
+        F = v[:2].T
+        J = v[2:].T.reshape(-1, 2, 2)  # rows (A1, A2) and (B1, B2)
+        (a_r, b_r, c_r, d_r), (a_i, b_i, c_i, d_i) = vr[2:], vi[2:]
+        det_abs = np.hypot(
+            (a_r * d_r - a_i * d_i) - (b_r * c_r - b_i * c_i),
+            (a_r * d_i + a_i * d_r) - (b_r * c_i + b_i * c_r),
+        )
+        guard = np.array([(1.0 + m) ** 2 for m in np.abs(J).max(axis=(1, 2))])
+        go = ~(det_abs < 1e-14 * guard)
+        act, za = act[go], za[go]
+        if not act.size:
             break
-    return complex(z[0]), complex(z[1])
+        step = np.linalg.solve(J[go], F[go][:, :, None])[:, :, 0]
+        za = za - step
+        z[act] = za
+        act = act[~(np.abs(step).max(axis=1) < 1e-15 * (1.0 + np.abs(za).max(axis=1)))]
+    gr, gi = _eval_stack(*gens, z[:, 0], z[:, 1])
+    return z, np.hypot(gr, gi)
 
 
 def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
@@ -443,7 +489,8 @@ def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
     Candidate z1 values come from a z2-free generator when one exists,
     otherwise from the first nonzero pair resultant; z2 values from the
     univariate slices above each candidate; Newton refinement on the chosen
-    pair; acceptance requires every generator residual below TOL_POINT.
+    pair, every candidate at once; acceptance requires every generator
+    residual below TOL_POINT.
     """
     gens = [g for g in generators if not g.is_zero]
     if len(gens) < 2:
@@ -495,36 +542,39 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
                 "positive-dimensional part; re-extract the gcd"
             )
 
-    slicers = [(FiberPoly(g) if g.deg2 >= 1 else None, g) for g in gens]
+    if not candidates:
+        return []
+    # z2 candidates: the roots of the lowest-degree nonvanishing slice, one
+    # fiber solve per slicer over every z1 root it has yet to serve; a root
+    # that no slice serves keeps z2 = 0 (the system may force z2 only
+    # through constants)
+    alphas = np.array(candidates, dtype=np.complex128)
+    betas = [np.zeros(1, dtype=np.complex128)] * len(candidates)
+    pending = list(range(len(candidates)))
+    for g in sorted((g for g in gens if g.deg2 >= 1), key=lambda g: g.deg2):
+        if not pending:
+            break
+        roots, _ = solve_fibers(FiberPoly(g), alphas[pending])
+        for i, r in zip(pending, roots):
+            if r.size:
+                betas[i] = r
+        pending = [i for i, r in zip(pending, roots) if not r.size]
+    starts = np.array([(a, b) for a, bs in zip(candidates, betas) for b in bs])
+
     gA, gB = pair
-    system = [
-        _z2_rows(g) for g in (gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2))
-    ]
-    gen_rows = [_z2_rows(g) for g in gens]
+    system = _row_stack([gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2)])
+    points, resids = _refine_points(system, _row_stack(gens), starts)
 
     accepted: list[IsolatedPoint] = []
-    for alpha in candidates:
-        # z2 candidates: roots of the lowest-degree nonvanishing slice
-        beta_cands: list[complex] | None = None
-        for fpg, g in sorted(slicers, key=lambda t: t[1].deg2):
-            if fpg is None:
-                continue
-            roots, _ = solve_fibers(fpg, np.array([alpha]))
-            if roots[0].size:
-                beta_cands = list(roots[0])
-                break
-        if beta_cands is None:
-            beta_cands = [0.0 + 0j]  # system may force z2 only through constants
-        for beta in beta_cands:
-            zt = _newton_refine(system, (alpha, beta))
-            resid = tuple(abs(_eval_rows(rows, *zt)) for rows in gen_rows)
-            if max(resid) < TOL_POINT:
-                if all(
-                    max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
-                    > POINT_CLUSTER
-                    for p in accepted
-                ):
-                    accepted.append(IsolatedPoint(location=zt, residuals=resid))
+    for zt, resid in zip(points.tolist(), resids.T.tolist()):
+        zt, resid = tuple(zt), tuple(resid)
+        if max(resid) < TOL_POINT:
+            if all(
+                max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
+                > POINT_CLUSTER
+                for p in accepted
+            ):
+                accepted.append(IsolatedPoint(location=zt, residuals=resid))
     accepted.sort(
         key=lambda p: (
             p.location[0].real,

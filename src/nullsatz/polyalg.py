@@ -280,7 +280,10 @@ class UniPoly:
         return self * (GR_ONE / self.lead)
 
     def deriv(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
+        # GaussRational * int would coerce k and take four Fraction products
+        return UniPoly(
+            [GaussRational(c.re * k, c.im * k) for k, c in enumerate(self.coeffs) if k]
+        )
 
     def eval(self, x):
         """Horner evaluation; exact for GaussRational x, float for complex x."""
@@ -452,9 +455,9 @@ class BiPoly:
         out = {}
         for (a, b), c in self.terms.items():
             if which == 1 and a > 0:
-                out[(a - 1, b)] = c * a
+                out[(a - 1, b)] = GaussRational(c.re * a, c.im * a)
             elif which == 2 and b > 0:
-                out[(a, b - 1)] = c * b
+                out[(a, b - 1)] = GaussRational(c.re * b, c.im * b)
         return BiPoly(out)
 
     def swap_vars(self) -> "BiPoly":

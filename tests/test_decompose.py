@@ -12,18 +12,23 @@ import nullsatz.decompose as dec
 import nullsatz.polyalg as polyalg
 from nullsatz.bergman import DomainSpec
 from nullsatz.decompose import (
+    NEWTON_ITERS,
+    POINT_CLUSTER,
+    TOL_POINT,
     CurveComponent,
     DecomposeError,
     IsolatedPoint,
-    _eval_rows,
-    _z2_rows,
+    _distinct_roots,
+    _eval_stack,
+    _row_stack,
+    _solve_points,
     decompose_curve,
     decompose_ideal,
     zero_dim_solve,
 )
 from nullsatz.nullsatz import classify
-from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2
-from nullsatz.rootfind import _UnionFind
+from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2, resultant_z2
+from nullsatz.rootfind import FiberPoly, _horner, _UnionFind, solve_fibers
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -265,12 +270,29 @@ class TestZeroDimSolve:
         assert zero_dim_solve([Z1, BiPoly.constant(2)]) == []
 
 
+def _random_bipoly(rng, max1=6, max2=5, terms=8):
+    return BiPoly(
+        {
+            (rng.randint(0, max1), rng.randint(0, max2)): GaussRational(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+            )
+            for _ in range(rng.randint(1, terms))
+        }
+    )
+
+
 class TestRowEvaluator:
-    """_eval_rows on _z2_rows(g) must give BiPoly.eval's floats bit for bit."""
+    """_eval_stack on a _row_stack must give BiPoly.eval's floats bit for bit."""
 
     @staticmethod
     def _points(rng):
-        pts = [(0j, 0j), (-0.0 + 0j, complex(-1.5, -0.0)), (1 + 0j, -1 + 0j)]
+        pts = [
+            (0j, 0j),
+            (-0.0 + 0j, complex(-1.5, -0.0)),
+            (complex(-0.0, -0.0), complex(-0.0, -0.0)),
+            (1 + 0j, -1 + 0j),
+        ]
         for _ in range(12):
             pts.append(
                 (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
@@ -278,25 +300,21 @@ class TestRowEvaluator:
             )
         return pts
 
-    def _check(self, g, rng):
-        rows = _z2_rows(g)
-        for x1, x2 in self._points(rng):
-            got, want = _eval_rows(rows, x1, x2), g.eval(x1, x2)
-            assert got == want and repr(got) == repr(want), (g, x1, x2)
+    def _check(self, polys, rng):
+        pts = self._points(rng)
+        x1 = np.array([p[0] for p in pts])
+        x2 = np.array([p[1] for p in pts])
+        vr, vi = _eval_stack(*_row_stack(polys), x1, x2)
+        assert vr.shape == vi.shape == (len(polys), len(pts))
+        for k, g in enumerate(polys):
+            for i, (w1, w2) in enumerate(pts):
+                got, want = complex(vr[k, i], vi[k, i]), g.eval(w1, w2)
+                assert got == want and repr(got) == repr(want), (g, w1, w2)
 
     def test_seeded_random_polynomials(self):
         rng = random.Random("eval-rows")
         for _ in range(60):
-            g = BiPoly(
-                {
-                    (rng.randint(0, 6), rng.randint(0, 5)): GaussRational(
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-                    )
-                    for _ in range(rng.randint(1, 8))
-                }
-            )
-            self._check(g, rng)
+            self._check([_random_bipoly(rng)], rng)
 
     def test_sparse_rows_and_constants(self):
         rng = random.Random("eval-rows-sparse")
@@ -307,10 +325,224 @@ class TestRowEvaluator:
             Z2**4 + GaussRational(0, 1),  # empty z2-rows 1..3
             Z1**3 * Z2**3 - Z2 + Fraction(1, 3),  # empty row 2, sparse row 3
         ]
-        rows = [_z2_rows(g) for g in cases]
-        assert rows[0] == [] and rows[3][1] == rows[3][2] == []
         for g in cases:
-            self._check(g, rng)
+            self._check([g], rng)
+
+    def test_padded_stacks_of_mixed_shapes(self):
+        # one stack pads every polynomial to the widest z1-row and the most
+        # z2-rows; the zero polynomial and empty rows sit among full ones
+        rng = random.Random("eval-rows-stacks")
+        fixed = [
+            BiPoly.zero(),
+            Z2**4 + GaussRational(0, 1),
+            Z1**3 * Z2**3 - Z2 + Fraction(1, 3),
+            BiPoly.constant(GaussRational(Fraction(-3, 7), Fraction(2, 3))),
+        ]
+        for _ in range(20):
+            polys = [_random_bipoly(rng, rng.randint(0, 6), rng.randint(0, 5))
+                     for _ in range(rng.randint(1, 5))]
+            polys.insert(rng.randint(0, len(polys)), rng.choice(fixed))
+            self._check(polys, rng)
+
+
+# ---------------------------------------------------------------------------
+# The scalar point solver that the batched one replaced, kept as its
+# reference: one Python Newton loop per (z1, z2) candidate, one fiber solve
+# per z1 root.  `exits` records which branch and which Newton exit each
+# candidate took, so the parity test can show it covered them all.
+# ---------------------------------------------------------------------------
+
+
+def _ref_z2_rows(g):
+    return [[complex(c) for c in u.coeffs] for u in g.z2_coeffs()]
+
+
+def _ref_eval_rows(rows, x1, x2):
+    if not rows:
+        return 0j
+    return _horner([_horner(r, x1) if r else 0j for r in rows], x2)
+
+
+def _ref_newton_refine(system, z0, exits):
+    A, B, A1, A2, B1, B2 = system
+    z = np.array([complex(z0[0]), complex(z0[1])])
+    exit = "iters"
+    for _ in range(NEWTON_ITERS):
+        x1, x2 = complex(z[0]), complex(z[1])
+        F = np.array([_ref_eval_rows(A, x1, x2), _ref_eval_rows(B, x1, x2)])
+        J = np.array(
+            [
+                [_ref_eval_rows(A1, x1, x2), _ref_eval_rows(A2, x1, x2)],
+                [_ref_eval_rows(B1, x1, x2), _ref_eval_rows(B2, x1, x2)],
+            ]
+        )
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        if abs(det) < 1e-14 * (1.0 + np.abs(J).max()) ** 2:
+            exit = "guard"
+            break
+        step = np.linalg.solve(J, F)
+        z = z - step
+        if np.abs(step).max() < 1e-15 * (1.0 + np.abs(z).max()):
+            exit = "small step"
+            break
+    exits.append(exit if np.isfinite(z).all() else "nonfinite")
+    return complex(z[0]), complex(z[1])
+
+
+def _ref_solve_points(gens, exits):
+    if any(g.is_constant for g in gens):
+        return []
+    z2free = sorted((g for g in gens if g.deg2 == 0), key=lambda g: g.deg1)
+    candidates = []
+    if z2free:
+        exits.append("z2-free source")
+        src = z2free[0]
+        candidates = _distinct_roots(src.as_unipoly_z1())
+        other = next(
+            (g for g in gens if g.deg2 >= 1),
+            next(g for g in gens if g is not src),
+        )
+        pair = (src, other)
+    else:
+        exits.append("resultant")
+        pair = None
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                res = resultant_z2(gens[i], gens[j])
+                if not res.is_zero:
+                    pair = (gens[i], gens[j])
+                    if res.degree >= 1:
+                        candidates = _distinct_roots(res)
+                    break
+            if pair is not None:
+                break
+        assert pair is not None
+    slicers = [(FiberPoly(g) if g.deg2 >= 1 else None, g) for g in gens]
+    gA, gB = pair
+    system = [
+        _ref_z2_rows(g)
+        for g in (gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2))
+    ]
+    gen_rows = [_ref_z2_rows(g) for g in gens]
+    accepted = []
+    for alpha in candidates:
+        beta_cands = None
+        for fpg, g in sorted(slicers, key=lambda t: t[1].deg2):
+            if fpg is None:
+                continue
+            roots, _ = solve_fibers(fpg, np.array([alpha]))
+            if roots[0].size:
+                beta_cands = list(roots[0])
+                break
+        if beta_cands is None:
+            exits.append("beta = 0")
+            beta_cands = [0.0 + 0j]
+        for beta in beta_cands:
+            zt = _ref_newton_refine(system, (alpha, beta), exits)
+            resid = tuple(abs(_ref_eval_rows(rows, *zt)) for rows in gen_rows)
+            if max(resid) < TOL_POINT:
+                if all(
+                    max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
+                    > POINT_CLUSTER
+                    for p in accepted
+                ):
+                    accepted.append(IsolatedPoint(location=zt, residuals=resid))
+    accepted.sort(
+        key=lambda p: (
+            p.location[0].real,
+            p.location[0].imag,
+            p.location[1].real,
+            p.location[1].imag,
+        )
+    )
+    return accepted
+
+
+def _gauss8(rng):
+    return GaussRational(Fraction(rng.randint(-12, 12), 8), Fraction(rng.randint(-12, 12), 8))
+
+
+def _grid_system(rng, k, m, z2_free):
+    """Generators of the grid {(a_i, b_j)} pulled back by z -> M z, with
+    M = [[1, beta], [gamma, 1]]; beta = 0 makes the first one z2-free.
+    Otherwise the first is rewritten by a multiple of the second, and a
+    third generator sometimes joins."""
+    beta = GaussRational(0) if z2_free else GaussRational(Fraction(rng.randint(1, 4), 8), 1)
+    gamma = GaussRational(Fraction(rng.randint(-4, 4), 8), Fraction(rng.randint(1, 4), 8))
+    h1, h2 = BiPoly.constant(1), BiPoly.constant(1)
+    for _ in range(k):
+        h1 = h1 * (Z1 + Z2 * beta - _gauss8(rng))
+    for _ in range(m):
+        h2 = h2 * (Z1 * gamma + Z2 - _gauss8(rng))
+    if z2_free:
+        return [h1, h2]
+    h1 = h1 + (Z1 * _gauss8(rng) + _gauss8(rng)) * h2
+    return [h1, h2] if rng.random() < 0.5 else [h1, h2, Z1 * h1 + Z2 * h2]
+
+
+# edge cases the seeded grids rarely reach, each named by what it exercises
+EDGE_SYSTEMS = [
+    # z1 = 1 has an empty fiber (beta = 0); there the Jacobian is singular
+    [Z1**2 - Z1, (Z1 - 1) * Z2 + Z1],
+    # the first slicer drops out at z1 = 1 and the second serves it
+    [Z1**2 - 1, (Z1 - 1) * Z2, Z2**2 + Z1 - 1],
+    # the slice root 3/2 starts Newton on z2^2, which halves it 30 times
+    [Z2**2, 2 * Z2 - 3, Z1 - 1],
+    # d/dz2 of the second generator overflows to inf at the fiber roots
+    [Z1 - 1, Z2**6 * 10**306 - 10**308],
+    # a tangential intersection and a multiple root: the guard stops Newton
+    [Z2**2 - Z1, Z2**2 + Z1],
+]
+
+
+class TestBatchedPointSolve:
+    """The batched _solve_points against the scalar solver it replaced."""
+
+    @staticmethod
+    def _systems():
+        rng = random.Random("point-parity")
+        systems = list(EDGE_SYSTEMS)
+        for _ in range(30):
+            k, m = rng.randint(1, 4), rng.randint(1, 3)
+            systems.append(_grid_system(rng, k, m, z2_free=rng.random() < 0.4))
+        return systems
+
+    def test_points_equal_the_scalar_solver_bit_for_bit(self):
+        exits = []
+        n_points = 0
+        for gens in self._systems():
+            # the scalar solver's numpy scalars warned on overflow; the
+            # batched one must stay silent under the RuntimeWarning policy
+            with np.errstate(all="ignore"):
+                want = _ref_solve_points(gens, exits)
+            got = _solve_points(gens)
+            assert [repr(p) for p in got] == [repr(p) for p in want], gens
+            n_points += len(want)
+        assert n_points > 100
+        assert set(exits) == {
+            "z2-free source", "resultant", "beta = 0",
+            "guard", "small step", "iters", "nonfinite",
+        }
+
+    def test_one_fiber_solve_per_slicer(self, monkeypatch):
+        real = dec.solve_fibers
+        calls = []
+
+        def spy(fp, z1s):
+            calls.append(len(z1s))
+            return real(fp, z1s)
+
+        monkeypatch.setattr(dec, "solve_fibers", spy)
+        rng = random.Random("point-spy")
+        gens = _grid_system(rng, 4, 3, z2_free=True)
+        assert len(_solve_points(gens)) == 12
+        assert calls == [4]  # the slicer serves all four z1 roots at once
+        calls.clear()
+        # the first slicer (z1 - 1) z2 serves z1 = -1 only; the second
+        # gets the one root left
+        pts = _solve_points([Z1**2 - 1, (Z1 - 1) * Z2, Z2**2 + Z1 - 1])
+        assert [p.location for p in pts] == [(1 + 0j, 0j)]
+        assert calls == [2, 1]
 
 
 class TestDecomposeIdeal:

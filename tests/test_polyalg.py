@@ -213,6 +213,13 @@ class TestUniPoly:
         u = UniPoly([1, 2, 3])  # 1 + 2x + 3x^2
         assert u.deriv() == UniPoly([2, 6])
 
+    def test_deriv_equals_coefficient_times_power(self):
+        rng = random.Random(19)
+        for n in range(12):
+            u = UniPoly([random_gauss(rng) for _ in range(n)])
+            want = UniPoly([c * k for k, c in enumerate(u.coeffs)][1:])
+            assert u.deriv() == want
+
 
 # ---------------------------------------------------------------------------
 # BiPoly ring structure
@@ -267,6 +274,17 @@ class TestBiPoly:
             f, g = random_bipoly(rng), random_bipoly(rng)
             for v in (1, 2):
                 assert (f * g).deriv(v) == f.deriv(v) * g + f * g.deriv(v)
+
+    def test_deriv_equals_coefficient_times_exponent(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            f = random_bipoly(rng, d1=4, d2=4)
+            for v in (1, 2):
+                want = BiPoly(
+                    {(a - (v == 1), b - (v == 2)): c * (a if v == 1 else b)
+                     for (a, b), c in f.terms.items() if (a if v == 1 else b) > 0}
+                )
+                assert f.deriv(v) == want
 
     def test_z2_coeffs_roundtrip(self):
         rng = random.Random(17)

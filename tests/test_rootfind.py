@@ -187,7 +187,7 @@ class TestHorner:
                 same_bits(_horner(a, s), list_horner(a, s))
                 z0 = np.asarray(wide_complex(rng, 1)[0])
                 same_bits(_horner(a, z0), list_horner(a, z0))
-                # Python complex rows, as decompose._eval_rows passes them
+                # Python complex rows and points
                 rows = [[complex(v) for v in wide_complex(rng, k)] for k in (1, 3, n + 1)]
                 x1, x2 = complex(rng.standard_normal(), 1.0), complex(-0.5, rng.standard_normal())
                 got = _horner([_horner(r, x1) for r in rows], x2)
@@ -355,6 +355,33 @@ class TestSolveFibers:
         for i, z1 in enumerate(z1s):
             single = all_roots(fp.coeffs_at(z1)).roots
             assert_same_multiset(batch[i], single, tol=1e-7)
+
+
+    def test_stack_equals_one_call_per_z1(self):
+        # the leading z2-coefficient (z1 - 1)(z1 + 2) vanishes at z1 = 1 and
+        # z1 = -2, and the next one, z1 - 1, at z1 = 1 too: the stack mixes
+        # effective degrees 3, 2 and 1
+        f = (Z1 - 1) * (Z1 + 2) * Z2**3 + (Z1 - 1) * Z2**2 + (Z1**2 + 1) * Z2 + Z1 - 3
+        rng = random.Random(29)
+        z1s = np.array(
+            [1.0, -2.0]
+            + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(37)]
+            + [1.0, 0.5j],
+            dtype=np.complex128,
+        )
+        # and a float matrix whose leading z2-coefficient 1 - z1^2 vanishes
+        # at z1 = 1 and z1 = -1
+        nrng = np.random.default_rng(29)
+        C = nrng.normal(size=(3, 5)) + 1j * nrng.normal(size=(3, 5))
+        C[:, -1] = [1.0, 0.0, -1.0]
+        w1s = np.concatenate([[1.0, -1.0], nrng.normal(size=20) + 0j])
+        for fp, xs, sizes in ((FiberPoly(f), z1s, {1, 2, 3}), (FiberPoly(C), w1s, {3, 4})):
+            roots, conv = solve_fibers(fp, xs)
+            assert {r.size for r in roots} == sizes
+            for i in range(xs.size):
+                alone, alone_conv = solve_fibers(fp, xs[i : i + 1])
+                assert roots[i].tobytes() == alone[0].tobytes()
+                assert conv[i].tobytes() == alone_conv[0].tobytes()
 
 
 class TestPathHelpers:
