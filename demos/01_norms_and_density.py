@@ -29,7 +29,7 @@ print(f"(the ball constant is pi^2/2 = {math.pi ** 2 / 2:.6f})")
 # dilation norm ||1 - p(z)/p(rz)|| probes the same density as r -> 1.
 print()
 print("p = z1 - 2 has no zero on the closed ball, so p * H should be dense")
-cert = density_certificate(Z1 - 2, ball, N_max=20, mc_samples=50_000, seed=0)
+cert = density_certificate(Z1 - 2, ball, N_max=20)
 for n, d in cert.profile[:4] + cert.profile[-2:]:
     print(f"  d_{n:<2} = {d:.6f}")
 r, v = cert.dilation_profile[-1]
@@ -40,8 +40,7 @@ print(f"  status: {cert.status}")
 # there, so d_N can never drop below the reproducing-kernel floor.
 print()
 print("p = z1 vanishes at the origin, so the distances hit a hard floor")
-cert0 = density_certificate(Z1, ball, N_max=20, zero_w=(0.0, 0.0),
-                            mc_samples=10_000, seed=0)
+cert0 = density_certificate(Z1, ball, N_max=20, zero_w=(0.0, 0.0))
 print(f"  d_0  = {cert0.profile[0][1]:.9f}")
 print(f"  d_20 = {cert0.profile[-1][1]:.9f}")
 print(f"  kernel floor K(w,w)^(-1/2) = {cert0.kernel_bound:.9f}")

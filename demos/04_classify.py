@@ -41,7 +41,7 @@ for name, gens in corpus:
 
 # With a certificate attached, a DENSE verdict on a principal ideal also
 # carries the full projection and dilation profiles.
-v = classify([Z1 - 2], ball, seed=0, with_certificate=True, mc_samples=20_000)
+v = classify([Z1 - 2], ball, seed=0, with_certificate=True)
 cert = v.certificate
 print(f"(z1 - 2) certificate: status {cert.status}, "
       f"d_20 = {cert.min_distance():.6f}")

@@ -10,7 +10,8 @@ computed in log space.  On top of the norm table sit inner products, the
 reproducing-kernel diagonal, least-squares projection distances
 d_N = dist(1, p * P_N) (the whole profile d_0..d_N_max from one Householder
 QR, since the systems are nested), the dilation family p(z)/p(rz) with its
-2^d ratio bound, and the density certificate that packages the observables.
+2^d ratio bound, and the density certificate that packages the observables
+(its dilation norms ||1 - p/p_r|| summed from Taylor coefficients of p/p_r).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .rootfind import _horner2
 
 R_GRID_DEFAULT = (0.51, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 RATIO_SAMPLES = 20_000
-MC_SAMPLES = 100_000
 N_MAX = 20
 RATIO_SLACK = 1e-9
 DENOM_FLOOR = 1e-14
@@ -35,10 +35,13 @@ RANK_RCOND = 1e-12
 BOUNDARY_FRACTION = 0.25
 CORNER_PHASES = 128
 MAX_SHELLS = 200_000
-# sample sets kept per kind (interior, closure); three let a process that
-# cycles over three domains reuse every set.  Only sets no larger than the
-# defaults are kept: an interior set of MC_SAMPLES points holds 3.2 MB and a
-# closure set of RATIO_SAMPLES points 0.64 MB, so at most 11.5 MB stay.
+# the stopping rules of the dilation norms' shell sums (_dilation_norms)
+SHELL_CAP = 400
+TAIL_TOL = 1e-15
+GROW_RUN = 4
+# closure sample sets kept; three let a process that cycles over three
+# domains reuse every set.  Only sets no larger than the default are kept: a
+# set of RATIO_SAMPLES points holds 0.64 MB, so at most 1.9 MB stay.
 SAMPLE_SETS = 3
 
 
@@ -385,47 +388,20 @@ def _closure_points(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, 
     zeros = np.zeros(CORNER_PHASES, dtype=np.complex128)
     z1 = np.concatenate([z1, phases, zeros, [0.0 + 0j]])
     z2 = np.concatenate([z2, zeros, phases, [0.0 + 0j]])
-    return _read_only(z1, z2)
-
-
-def sample_interior(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quasi-random points distributed by the domain's volume measure.
-
-    In gauge coordinates u = |z1|^p, v = |z2|^q the volume element is a
-    Dirichlet(2/p, 2/q, 1) density on the simplex; inverse-transform the
-    Halton sequence through the two conditional Beta marginals.  A set of at
-    most MC_SAMPLES points is built once per (domain, n, seed) and kept, a
-    larger one on every call; the arrays are read-only.
-    """
-    if n <= MC_SAMPLES:
-        return _kept_interior(domain, n, seed)
-    return _interior_points(domain, n, seed)
-
-
-def _interior_points(domain: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # the Beta inverse CDF is the only scipy use left, so scipy loads here,
-    # not when the package is imported
-    from scipy.special import betaincinv
-
-    u0, u1, th1, th2 = _halton4(n, seed)
-    a1, a2, a3 = 2.0 / domain.p, 2.0 / domain.q, 1.0
-    gu = betaincinv(a1, a2 + a3, u0)
-    gv = (1.0 - gu) * betaincinv(a2, a3, u1)
-    s1 = gu ** (1.0 / domain.p)
-    s2 = gv ** (1.0 / domain.q)
-    z1 = s1 * np.exp(2j * np.pi * th1)
-    z2 = s2 * np.exp(2j * np.pi * th2)
-    return _read_only(z1, z2)
+    # a kept sample set is shared by every later caller, so none may write it
+    z1.flags.writeable = z2.flags.writeable = False
+    return z1, z2
 
 
 def _halton4(n: int, seed: int) -> np.ndarray:
     """The first n points of a scrambled 4-d Halton sequence, as 4 rows.
 
     Owen's random digit permutations (arXiv:1706.02808), drawn and applied as
-    scipy.stats.qmc.Halton(d=4, seed=seed).random(n) does, so the points are
-    the same bit for bit.  Base b gets one permutation per digit position k
-    while b^-k > 2^-54; a point adds perm_k[digit_k] * b^-(k+1) over every
-    position, least significant digit first, in the same order and rounding.
+    the reference generator of the test extra does (tests/test_bergman.py
+    checks the points bit for bit).  Base b gets one permutation per digit
+    position k while b^-k > 2^-54; a point adds perm_k[digit_k] * b^-(k+1)
+    over every position, least significant digit first, in the same order
+    and rounding.
     """
     rng = np.random.default_rng(seed)
     u = np.zeros((4, n))
@@ -445,24 +421,9 @@ def _halton4(n: int, seed: int) -> np.ndarray:
     return u
 
 
-def _read_only(z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a kept sample set is shared by every later caller, so none may write it
-    z1.flags.writeable = False
-    z2.flags.writeable = False
-    return z1, z2
-
-
-# the public samplers stay plain functions around the kept builders, so a
-# tool that wraps a module's functions (perfbench's tracer) still sees them
+# the public sampler stays a plain function around the kept builder, so a
+# tool that wraps a module's functions (perfbench's tracer) still sees it
 _kept_closure = functools.lru_cache(maxsize=SAMPLE_SETS)(_closure_points)
-_kept_interior = functools.lru_cache(maxsize=SAMPLE_SETS)(_interior_points)
-
-
-def mean_norm_sq(f: BiPoly, domain: DomainSpec, n: int, seed: int) -> float:
-    """Quasi-Monte Carlo estimate of the squared Bergman norm of f."""
-    z1, z2 = sample_interior(domain, n, seed)
-    vals = eval_grid(f, z1, z2)
-    return volume(domain) * float(np.mean(np.abs(vals) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +548,6 @@ class DensityCertificate:
     kernel_bound: float | None
     zero_witness: tuple[complex, complex] | None
     status: str
-    mc_samples: int
-    seed: int
 
     def min_distance(self) -> float:
         return min(d for _, d in self.profile)
@@ -606,9 +565,73 @@ class DensityCertificate:
             if w is None
             else {"z1": [w[0].real, w[0].imag], "z2": [w[1].real, w[1].imag]},
             "status": self.status,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
         }
+
+
+def _dilation_norms(p: BiPoly, domain: DomainSpec, r_grid: tuple[float, ...]) -> list[float]:
+    """||1 - p/p_r|| for each r in r_grid, from the Taylor series of h = p/p_r.
+
+    Monomials are orthogonal, so ||1 - h||^2 = sum |delta_ab - h_ab|^2 nu_ab,
+    taken by shells s = a + b.  p = z1^a z2^b q gives h = r^-(a+b) q/q_r; if
+    q(0) = 0, every entry is nan (not determined).  g = 1/q follows once for
+    every r from the recurrence of q g = 1.  With c_j the terms of q beside
+    q(0), of degree t_j, shell s >= 1 of q/q_r sums c_j r^(s-t_j) (1 - r^t_j)
+    times shell s - t_j of g shifted by term j: nothing cancels against q(0).
+    Each shell of g is kept at modulus 1 beside its log scale, so nothing
+    overflows before the shell sums.  Read in windows of deg q shells (which
+    bridge the empty shells of a sparse q), the sum for each r settles once
+    the geometric tail A_k^2 / (A_(k-1) - A_k) of the last two windows is
+    below TAIL_TOL of it.  It is +inf once the windows overflow or rise
+    GROW_RUN times in a row to a new maximum (a finite norm has shell sums
+    tending to 0), and nan if neither happens within SHELL_CAP shells.
+    """
+    r = np.asarray(r_grid, dtype=np.float64)
+    ma, mb = (min(e[i] for e in p.terms) for i in (0, 1))
+    q = {(a - ma, b - mb): complex(c) for (a, b), c in p.terms.items()}
+    if (0, 0) not in q:
+        return [math.nan] * r.size
+    total = (1.0 - r ** -(ma + mb)) ** 2 * volume(domain)  # shell 0 of 1 - h
+    c0 = q.pop((0, 0))
+    if not q:
+        return np.sqrt(total).tolist()
+    shift, deg = np.array([(a, a + b) for a, b in q]).T
+    w = np.array(list(q.values())) / -c0  # shell s of c0 g: sum_j w_j (shell s - t_j)
+    hfac, logr, D = -w * (1.0 - r[:, None] ** deg), np.log(r), int(deg.max())
+    # G[D + k, D + a] e^L[D + k] is c0 g at z1^a z2^(k-a); D rows and columns pad
+    G = np.zeros((SHELL_CAP + D + 1,) * 2, dtype=np.complex128)
+    L = np.full(SHELL_CAP + D + 1, -np.inf)
+    G[D, D], L[D] = 1.0, 0.0
+    value, open_ = np.full(r.size, math.nan), np.ones(r.size, dtype=bool)
+    window, best, rises = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
+    prev = np.full(r.size, math.nan)
+    with np.errstate(all="ignore"):
+        for s in range(1, SHELL_CAP + 1):
+            rows, a = s - deg + D, np.arange(s + 1)
+            top = L[rows].max()
+            if top > -np.inf:  # else every shell the recurrence reads is 0
+                e = np.exp(L[rows] - top)
+                X = G[rows[:, None], a - shift[:, None] + D]
+                acc = (w * e) @ X
+                if (size := np.abs(acc).max()) > 0.0:
+                    G[D + s, D : D + s + 1], L[D + s] = acc / size, top + math.log(size)
+                H = (hfac * e * np.exp(np.outer(logr, s - deg))) @ X
+                lognu = _log_norm(domain, a, s - a)
+                nu_top = lognu.max()
+                log_shell = np.log(np.abs(H) ** 2 @ np.exp(lognu - nu_top)) + nu_top
+                window += np.exp(log_shell + 2.0 * top - 2.0 * (ma + mb) * logr)
+            if s % D:
+                continue
+            total += window
+            rises = np.where(window > prev, rises + 1, 0)
+            settled = window * window <= TAIL_TOL * total * (prev - window)
+            grown = ~(window < np.inf) | ((rises >= GROW_RUN) & (window >= best))
+            value[open_ & settled] = np.sqrt(total[open_ & settled])
+            value[open_ & grown] = math.inf
+            open_ &= ~(settled | grown)
+            if not open_.any():
+                break
+            best, prev, window = np.maximum(best, window), window, np.zeros(r.size)
+    return value.tolist()
 
 
 def density_certificate(
@@ -617,15 +640,14 @@ def density_certificate(
     N_max: int = N_MAX,
     r_grid: tuple[float, ...] = R_GRID_DEFAULT,
     zero_w: tuple[complex, complex] | None = None,
-    mc_samples: int = MC_SAMPLES,
-    seed: int = 0,
 ) -> DensityCertificate:
     """Assemble the density observables for the principal ideal of p.
 
     The projection profile d_N measures how well 1 is approximated from
     p * (polynomials of degree <= N); the dilation profile measures
-    ||1 - p(z)/p(rz)|| as r -> 1.  A supplied zero of p inside the domain
-    converts into the reproducing-kernel lower bound that blocks density.
+    ||1 - p(z)/p(rz)|| as r -> 1 (inf or nan where _dilation_norms says so).
+    A supplied zero of p inside the domain converts into the
+    reproducing-kernel lower bound that blocks density.
     """
     if p.is_zero:
         raise ValueError("density certificate needs a nonzero polynomial")
@@ -633,18 +655,7 @@ def density_certificate(
     table = MonomialNormTable(domain, p.deg1 + p.deg2 + 2 * N_max + 2)
     profile = list(enumerate(projection_distances(p, N_max, table)))
 
-    dilation: list[tuple[float, float]] = []
-    z1, z2 = sample_interior(domain, mc_samples, seed)
-    vol = volume(domain)
-    pnum = eval_grid(p, z1, z2)
-    for r in r_grid:
-        den = eval_grid(p, r * z1, r * z2)
-        tiny = np.abs(den) < DENOM_FLOOR
-        if np.any(tiny):
-            dilation.append((r, math.inf))
-            continue
-        vals = np.abs(1.0 - pnum / den) ** 2
-        dilation.append((r, math.sqrt(vol * float(np.mean(vals)))))
+    dilation = list(zip(r_grid, _dilation_norms(p, domain, r_grid)))
 
     kernel_bound = None
     if zero_w is not None:
@@ -679,6 +690,4 @@ def density_certificate(
         kernel_bound=kernel_bound,
         zero_witness=None if zero_w is None else (complex(zero_w[0]), complex(zero_w[1])),
         status=status,
-        mc_samples=mc_samples,
-        seed=seed,
     )

@@ -45,7 +45,7 @@ def _emit(report: dict, pretty_lines: list[str], pretty: bool) -> None:
 
 def _config_from_args(args) -> RunConfig:
     kwargs = {"domain": DomainSpec.parse(args.domain), "seed": args.seed}
-    for name in ("samples", "mc_samples", "n_max", "pitch", "alpha_grid"):
+    for name in ("samples", "n_max", "pitch", "alpha_grid"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -69,7 +69,6 @@ def cmd_classify(args) -> int:
         seed=cfg.seed,
         pitch=cfg.pitch,
         with_certificate=not args.no_certificate,
-        mc_samples=cfg.mc_samples,
         n_max=cfg.n_max,
     )
     report = verdict.to_json_dict()
@@ -110,13 +109,7 @@ def cmd_density(args) -> int:
             raise bad
         zero_w = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
     cert = density_certificate(
-        p,
-        cfg.domain,
-        N_max=cfg.n_max,
-        r_grid=cfg.r_grid,
-        zero_w=zero_w,
-        mc_samples=cfg.mc_samples,
-        seed=cfg.seed,
+        p, cfg.domain, N_max=cfg.n_max, r_grid=cfg.r_grid, zero_w=zero_w
     )
     report = cert.to_json_dict()
     report["config"] = cfg.to_json_dict()
@@ -199,7 +192,6 @@ def cmd_norms(args) -> int:
 # settings flags; each subcommand registers only the ones it reads
 _SETTINGS = {
     "--samples": {"type": int},
-    "--mc-samples": {"type": int},
     "--n-max": {"type": int},
     "--pitch": {"type": float},
     "--alpha-grid": {"type": int},
@@ -227,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ideal", required=True, help="ideal or polynomial JSON file")
     sp.add_argument("--no-certificate", action="store_true",
                     help="skip the density certificate on DENSE verdicts")
-    _add_common(sp, "--pitch", "--mc-samples", "--n-max")
+    _add_common(sp, "--pitch", "--n-max")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("density", help="projection/dilation density certificate")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--witness", default=None,
                     help="known zero inside the domain: re1,im1,re2,im2")
-    _add_common(sp, "--mc-samples", "--n-max", "--r-grid")
+    _add_common(sp, "--n-max", "--r-grid")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("ratio", help="dilation ratio bound check |p(z)/p(rz)|")

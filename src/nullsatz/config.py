@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .bergman import MC_SAMPLES, N_MAX, R_GRID_DEFAULT, RATIO_SAMPLES, DomainSpec
+from .bergman import N_MAX, R_GRID_DEFAULT, RATIO_SAMPLES, DomainSpec
 from .bergman import check_r_grid
 from .hopf import ALPHA_GRID
 from .nullsatz import GRID_PITCH
@@ -25,7 +25,6 @@ class RunConfig:
     domain: DomainSpec = field(default_factory=DomainSpec.ball)
     seed: int = 0
     samples: int = RATIO_SAMPLES
-    mc_samples: int = MC_SAMPLES
     r_grid: tuple[float, ...] = R_GRID_DEFAULT
     n_max: int = N_MAX
     alpha_grid: int = ALPHA_GRID
@@ -34,7 +33,7 @@ class RunConfig:
     def __post_init__(self):
         if not (isinstance(self.pitch, float) and self.pitch > 0.0):
             raise ValueError(f"pitch must be a positive float, got {self.pitch!r}")
-        for name in ("samples", "mc_samples", "n_max", "alpha_grid"):
+        for name in ("samples", "n_max", "alpha_grid"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v > 0):
                 raise ValueError(f"{name} must be a positive int, got {v!r}")
@@ -60,7 +59,6 @@ class RunConfig:
             "domain": self.domain.to_json_dict(),
             "seed": self.seed,
             "samples": self.samples,
-            "mc_samples": self.mc_samples,
             "r_grid": list(self.r_grid),
             "n_max": self.n_max,
             "alpha_grid": self.alpha_grid,

@@ -603,27 +603,30 @@ def decompose_ideal(generators: list[BiPoly], seed: int = 0) -> VarietyDecomposi
         raise ValueError("decompose_ideal needs at least one nonzero generator")
     g = gcd_many(gens)
 
-    comps: list[CurveComponent] = []
-    if not g.is_constant:
-        comps = decompose_curve(g, seed=seed)
-        residual = [h for h in (exact_div(gi, g) for gi in gens) if not h.is_constant]
-    else:
-        residual = list(gens)
-
-    # a constant cofactor puts g itself in the ideal, so V(I) = V(g) has no
-    # isolated points
-    points: list[IsolatedPoint] = []
-    if len(residual) == len(gens) >= 2:
-        # the cofactors of the gcd are coprime, so no second gcd is needed
-        points = _solve_points(residual)
+    try:  # the numeric stages round exact coefficients and resultants to floats
+        comps: list[CurveComponent] = []
         if not g.is_constant:
-            gscale = _coeff_scale(g)
-            points = [
-                pt
-                for pt in points
-                if abs(g.eval(pt.location[0], pt.location[1]))
-                > TOL_POINT * gscale * 10.0
-            ]
+            comps = decompose_curve(g, seed=seed)
+            residual = [h for h in (exact_div(gi, g) for gi in gens) if not h.is_constant]
+        else:
+            residual = list(gens)
+
+        # a constant cofactor puts g itself in the ideal, so V(I) = V(g) has no
+        # isolated points
+        points: list[IsolatedPoint] = []
+        if len(residual) == len(gens) >= 2:
+            # the cofactors of the gcd are coprime, so no second gcd is needed
+            points = _solve_points(residual)
+            if not g.is_constant:
+                gscale = _coeff_scale(g)
+                points = [
+                    pt
+                    for pt in points
+                    if abs(g.eval(pt.location[0], pt.location[1]))
+                    > TOL_POINT * gscale * 10.0
+                ]
+    except OverflowError as exc:
+        raise DecomposeError(f"a coefficient overflows double precision: {exc}") from None
 
     return VarietyDecomposition(
         curve_components=tuple(comps),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import (
-    MC_SAMPLES,
     N_MAX,
     DensityCertificate,
     DomainSpec,
@@ -579,7 +578,6 @@ def classify(
     seed: int = 0,
     pitch: float = GRID_PITCH,
     with_certificate: bool = True,
-    mc_samples: int = MC_SAMPLES,
     n_max: int = N_MAX,
 ) -> ClosureVerdict:
     """Full pipeline: decompose the variety, test every component, aggregate.
@@ -635,13 +633,7 @@ def classify(
 
     certificate = None
     if overall == DENSE and with_certificate and len(gens) == 1:
-        certificate = density_certificate(
-            gens[0],
-            domain,
-            N_max=n_max,
-            mc_samples=mc_samples,
-            seed=seed,
-        )
+        certificate = density_certificate(gens[0], domain, N_max=n_max)
 
     return ClosureVerdict(
         results=results,

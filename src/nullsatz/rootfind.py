@@ -321,6 +321,7 @@ class FiberPoly:
         self._C = np.asarray(f, dtype=np.complex128)
         self.deg2 = self._C.shape[1] - 1
 
+    @np.errstate(all="ignore")  # as in _aberth_batch, far z1 overflow silently
     def coeff_rows(self, z1: np.ndarray) -> np.ndarray:
         """Ascending z2-coefficients at each z1; shape (B, deg2+1)."""
         z1 = np.asarray(z1, dtype=np.complex128).ravel()

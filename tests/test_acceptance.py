@@ -105,8 +105,7 @@ def test_criterion_2_ratio_bound(capsys):
 
 def test_criterion_3_density_convergence(capsys):
     """z1 - 2 on the ball: exact d_0, strict decay, small dilation tail."""
-    cert = density_certificate(Z1 - 2, BALL, N_max=20, mc_samples=100_000,
-                               seed=0)
+    cert = density_certificate(Z1 - 2, BALL, N_max=20)
     d0 = cert.profile[0][1]
     d0_err = abs(d0 - math.sqrt(math.pi**2 / 26))
     decreasing = all(b < a for (_, a), (_, b) in zip(cert.profile,
@@ -121,8 +120,7 @@ def test_criterion_3_density_convergence(capsys):
 
 def test_criterion_4_non_density(capsys):
     """z1 on the ball: every d_N pinned at the kernel bound pi/sqrt(2)."""
-    cert = density_certificate(Z1, BALL, N_max=20, zero_w=(0.0, 0.0),
-                               mc_samples=10_000, seed=0)
+    cert = density_certificate(Z1, BALL, N_max=20, zero_w=(0.0, 0.0))
     target = math.pi / math.sqrt(2)
     worst = max(abs(d - target) for _, d in cert.profile)
     kb = kernel_diag(BALL, (0.0, 0.0)) ** -0.5

@@ -2,8 +2,9 @@
 
 Ground truths: the Monte Carlo volume-moment oracle, the closed-form unit
 ball kernel 2/(pi^2 (1 - <z,w>)^3), hand-solved small least-squares problems,
-one lstsq per N for the projection profile, and the dilation ratio analysis
-for one-variable factors.
+one lstsq per N for the projection profile, the dilation ratio analysis
+for one-variable factors, and for the dilation norms a closed-form series,
+exact unit rotations and a quasi-Monte Carlo mean.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import random
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from oracles import mc_monomial_norm
+from oracles import mc_monomial_norm, qmc_dilation_norm
 
 from nullsatz import bergman
 from nullsatz.bergman import (
@@ -39,13 +41,11 @@ from nullsatz.bergman import (
     inner,
     kernel_diag,
     kernel_lower_bound,
-    mean_norm_sq,
     monomial_norm,
     norm_sq,
     projection_distances,
     ratio_sup,
     sample_closure,
-    sample_interior,
     volume,
 )
 from nullsatz.cli import main
@@ -450,17 +450,6 @@ class TestSampling:
         on_axis = z2 == 0
         assert np.min(np.abs(z1[on_axis] - (-1.0))) < 1e-15
 
-    def test_interior_sampler_reproduces_norms(self):
-        # sampler validity: QMC mean of |z1^a z2^b|^2 must match the table
-        for dom in (BALL, DomainSpec(2.0, 1.0)):
-            for f, (a, b) in ((Z1, (1, 0)), (Z2 * Z1, (1, 1))):
-                est = mean_norm_sq(f, dom, 100_000, seed=5)
-                assert est == pytest.approx(monomial_norm(dom, a, b), rel=0.01)
-
-    def test_interior_points_strictly_inside(self):
-        z1, z2 = sample_interior(BALL, 5000, seed=2)
-        assert np.all(BALL.phi(z1, z2) < 1.0 + 1e-12)
-
     def test_deterministic_for_seed(self):
         a = sample_closure(BALL, 1000, seed=9)
         b = sample_closure(BALL, 1000, seed=9)
@@ -468,12 +457,10 @@ class TestSampling:
 
 
 class TestSampleMemo:
-    """Each sample set is built once per (domain, n, seed) and shared read-only."""
+    """Each closure sample set is built once per (domain, n, seed) and shared
+    read-only."""
 
-    SAMPLERS = (
-        (sample_interior, bergman._kept_interior, bergman.MC_SAMPLES),
-        (sample_closure, bergman._kept_closure, bergman.RATIO_SAMPLES),
-    )
+    SAMPLERS = ((sample_closure, bergman._kept_closure, bergman.RATIO_SAMPLES),)
 
     @pytest.mark.parametrize("sampler, builder, default", SAMPLERS)
     def test_read_only_and_shared(self, sampler, builder, default):
@@ -516,26 +503,10 @@ class TestSampleMemo:
             assert a.tobytes() == b.tobytes()
 
     def test_cache_bound_is_documented(self):
-        # three kept sets of each kind, at most 3 x (3.2 + 0.64) MB
+        # three kept sets, at most 3 x 0.64 MB
         assert bergman.SAMPLE_SETS == 3
         for _, builder, _ in self.SAMPLERS:
             assert builder.cache_info().maxsize == bergman.SAMPLE_SETS
-
-    def test_kept_samples_give_the_cold_certificate(self):
-        omega13 = DomainSpec(1.0, 3.0)
-        f = (Z1 - 2) * (Z2 + GaussRational(1, 2)) + Z1 * Z2**2
-
-        def report():
-            cert = density_certificate(f, omega13, N_max=2, seed=3)
-            return json.dumps(cert.to_json_dict()).encode()
-
-        bergman._kept_interior.cache_clear()
-        cold = report()
-        for dom in (BALL, SIMPLEX):
-            density_certificate(f, dom, N_max=2, seed=3)
-        hits = bergman._kept_interior.cache_info().hits
-        assert report() == cold
-        assert bergman._kept_interior.cache_info().hits == hits + 1
 
 
 WITNESS_R_GRID = (0.5005, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -657,9 +628,135 @@ class TestDensityCertificate:
         with pytest.raises(DomainError):
             density_certificate(Z1 - 2, BALL, N_max=1, zero_w=(2, 0))
 
+    def test_report_does_not_depend_on_earlier_calls(self):
+        omega13 = DomainSpec(1.0, 3.0)
+        f = (Z1 - 2) * (Z2 + GaussRational(1, 2)) + Z1 * Z2**2
+
+        def report():
+            return json.dumps(density_certificate(f, omega13, N_max=2).to_json_dict())
+
+        cold = report()
+        for dom in (BALL, SIMPLEX):
+            density_certificate(f, dom, N_max=2)
+        assert report() == cold
+
     def test_json_serializable(self):
         cert = density_certificate(Z1, BALL, N_max=2, zero_w=(0, 0))
         blob = json.dumps(cert.to_json_dict())
         back = json.loads(blob)
         assert back["status"] == "NOT_DENSE"
         assert back["kernel_lower_bound"] == pytest.approx(math.pi / math.sqrt(2))
+
+
+def _rotated(p: BiPoly, u: GaussRational, v: GaussRational) -> BiPoly:
+    """p(u z1, v z2), exactly."""
+    out = BiPoly.zero()
+    for (a, b), c in p.terms.items():
+        out = out + (Z1 * u) ** a * (Z2 * v) ** b * c
+    return out
+
+
+def _witness_family(seed: int, domain: DomainSpec) -> BiPoly:
+    """(z1 - x)(z2 - y) + e (z1 - x)^2 z2 through a seeded point with gauge <= 1/2."""
+    rng = random.Random(seed)
+
+    def eighths():
+        return GaussRational(Fraction(rng.randint(-4, 4), 8), Fraction(rng.randint(-4, 4), 8))
+
+    while True:
+        x, y = eighths(), eighths()
+        if domain.phi(complex(x), complex(y)) <= 0.5:
+            break
+    e = GaussRational(Fraction(rng.randint(1, 4), 2), Fraction(rng.randint(-4, 4), 4))
+    return (Z1 - x) * (Z2 - y) + (Z1 - x) ** 2 * Z2 * e
+
+
+def _line_closed_form(c: complex, r: float) -> float:
+    """||1 - p/p_r|| on the ball for p = z1 - c, |c| > 1:
+
+    ((1 - r)/|c|)^2 sum_k |r/c|^(2k) pi^2 / ((k+2)(k+3)), summed to exhaustion.
+    """
+    x = abs(r / c) ** 2
+    total, k, term = 0.0, 0, 1.0
+    while term > 1e-20 * max(total, 1e-300):
+        term = x**k * math.pi**2 / ((k + 2) * (k + 3))
+        total += term
+        k += 1
+    return (1.0 - r) / abs(c) * math.sqrt(total)
+
+
+class TestDilationNorms:
+    """The certificate's dilation profile, summed from the Taylor series of p/p_r."""
+
+    @pytest.mark.parametrize("c", [
+        GaussRational(2), GaussRational(Fraction(-3, 2)),
+        GaussRational(Fraction(3, 2), 2), GaussRational(0, Fraction(5, 4)),
+    ], ids=["2", "-3/2", "3/2+2i", "5i/4"])
+    def test_line_matches_the_closed_form(self, c):
+        cert = density_certificate(Z1 - c, BALL, N_max=1)
+        for r, v in cert.dilation_profile:
+            assert v == pytest.approx(_line_closed_form(complex(c), r), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [
+        GaussRational(Fraction(3, 2)), GaussRational(2), GaussRational(Fraction(6, 5)),
+        GaussRational(1, 1),
+    ], ids=["3/2", "2", "6/5", "1+i"])
+    def test_diagonal_line_matches_the_closed_form(self, c):
+        # p = 1 - (z1 + z2)/c depends on u = z1 + z2 alone, and on the ball
+        # ||u^k||^2 = pi^2 2^k / ((k+1)(k+2)), so ||1 - p/p_r||^2 is
+        # (1 - r)^2 sum_k>=1 r^(2k-2) (2/|c|^2)^k pi^2 / ((k+1)(k+2)), which is
+        # infinite exactly when p_r vanishes in the ball, 2 r^2 >= |c|^2.
+        # On |c| = sqrt(2) the zero set touches the sphere and the shells
+        # decay too slowly to settle at r = 0.99: not determined, never wrong.
+        p = BiPoly.constant(1) - (Z1 + Z2) * (GaussRational(1) / c)
+        x = float(Fraction(2) / (c.re**2 + c.im**2))
+        for r, v in density_certificate(p, BALL, N_max=1).dilation_profile:
+            if x * r * r >= 1.0:
+                assert v == math.inf, r
+                continue
+            want = sum((x * r * r) ** k / r**2 * math.pi**2 / ((k + 1) * (k + 2))
+                       for k in range(1, 20_000))
+            assert math.isnan(v) and x == 1.0 or v == pytest.approx(
+                (1.0 - r) * math.sqrt(want), rel=1e-12), r
+
+    @pytest.mark.parametrize("domain", [BALL, SIMPLEX, DomainSpec(1.0, 3.0)],
+                             ids=["ball", "1_1", "1_3"])
+    def test_invariant_under_unit_rotations(self, domain):
+        u = GaussRational(Fraction(3, 5), Fraction(4, 5))
+        v = GaussRational(Fraction(-5, 13), Fraction(12, 13))
+        p = (Z1 * GaussRational(1, 1) + Z2 - 4) * (Z2 * Z1 + Z2 * 2 + 5)
+        base = density_certificate(p, domain, N_max=1).dilation_profile
+        turned = density_certificate(_rotated(p, u, v), domain, N_max=1).dilation_profile
+        for (r, a), (_, b) in zip(base, turned):
+            assert math.isfinite(a) and b == pytest.approx(a, rel=1e-12), r
+        witness = _witness_family(1, domain)
+        for _, b in density_certificate(_rotated(witness, u, v), domain, N_max=1).dilation_profile:
+            assert b == math.inf
+
+    def test_monomial_factor_scales_the_series(self):
+        # z1: h = 1/r exactly; z1^2 (z1 - 2): h = r^-2 (z1 - 2)/(r z1 - 2)
+        for r, v in density_certificate(Z1, BALL, N_max=1).dilation_profile:
+            assert v == pytest.approx(abs(1.0 - 1.0 / r) * math.pi / math.sqrt(2), rel=1e-12)
+        for r, v in density_certificate(Z1**2 * (Z1 - 2), BALL, N_max=1).dilation_profile:
+            want = (1.0 - r**-2) ** 2 * math.pi**2 / 2 + r**-4 * _line_closed_form(2, r) ** 2
+            assert v == pytest.approx(math.sqrt(want), rel=1e-12)
+
+    def test_interior_zero_gives_inf_at_every_r(self):
+        half = density_certificate(Z1 - GaussRational(Fraction(1, 2)), BALL, N_max=1)
+        assert [v for _, v in half.dilation_profile] == [math.inf] * 7
+        for seed in range(4):
+            for domain in (BALL, SIMPLEX, DomainSpec(1.0, 3.0)):
+                cert = density_certificate(_witness_family(seed, domain), domain, N_max=1)
+                assert [v for _, v in cert.dilation_profile] == [math.inf] * 7
+
+    def test_zero_at_the_origin_is_not_determined(self):
+        cert = density_certificate(Z1 + Z2**2, BALL, N_max=1)
+        assert all(math.isnan(v) for _, v in cert.dilation_profile)
+        blob = json.loads(json.dumps(cert.to_json_dict()))
+        assert all(math.isnan(v) for _, v in blob["dilation_profile"])
+
+    @pytest.mark.parametrize("domain", [BALL, DomainSpec(1.0, 3.0)], ids=["ball", "1_3"])
+    def test_matches_the_quasi_monte_carlo_mean(self, domain):
+        cert = density_certificate(Z1 - 2, domain, N_max=1)
+        for r, v in cert.dilation_profile:
+            assert abs(v - qmc_dilation_norm(Z1 - 2, domain, r)) < 1e-5

@@ -131,8 +131,7 @@ class TestOtherCommands:
 
     def test_density_certificate(self, capsys):
         code, out, _ = run(
-            capsys, "density", "--poly", str(DATA / "princ_two.json"),
-            "--mc-samples", "20000",
+            capsys, "density", "--poly", str(DATA / "princ_two.json")
         )
         assert code == 0
         rep = json.loads(out)
@@ -222,7 +221,7 @@ class TestParserReuse:
         calls = (
             ["classify", "--ideal", str(DATA / "twolines.json"), "--domain", "ball"],
             ["classify", "--ideal", str(DATA / "twolines.json"), "--bogus"],
-            ["density", "--poly", str(DATA / "princ_two.json"), "--mc-samples", "20000"],
+            ["density", "--poly", str(DATA / "princ_two.json")],
         )
         cli._kept_parser.cache_clear()
         kept = [outcome(capsys, argv) for argv in calls]
@@ -233,13 +232,15 @@ class TestParserReuse:
 
 
 class TestImportPath:
-    """scipy stays off the import path and out of one-shot calls that need none."""
+    """No one-shot call loads scipy: the package runs on numpy alone."""
 
     @pytest.mark.parametrize("argv", [
         [],
         ["norms", "--max-degree", "4", "--domain", "1,3"],
         ["classify", "--ideal", str(DATA / "twolines.json"), "--domain", "ball"],
-    ], ids=["import", "norms", "classify"])
+        ["density", "--poly", str(DATA / "princ_two.json")],
+        ["classify", "--ideal", str(DATA / "princ_two.json")],
+    ], ids=["import", "norms", "classify", "density", "classify_certificate"])
     def test_no_scipy_module_loaded(self, argv):
         code = (
             "import contextlib, io, json, sys\n"

@@ -616,6 +616,19 @@ class TestDecomposeIdeal:
         with pytest.raises(ValueError):
             decompose_ideal([BiPoly.zero()])
 
+    @pytest.mark.parametrize("gens", [
+        # a generator coefficient beyond the float range
+        [Z1 - 1, Z2 * 10**309 - 1],
+        # generators in range whose resultant has a 10^400 coefficient
+        [Z2 * 10**200 + Z1 - 1, Z2**2 * 10**200 + Z1],
+    ], ids=["generator", "resultant"])
+    def test_float_overflow_is_a_decompose_error(self, gens):
+        with pytest.raises(DecomposeError, match="overflows double precision"):
+            decompose_ideal(gens)
+        verdict = classify(gens, DomainSpec.ball())
+        assert verdict.overall == "INCONCLUSIVE"
+        assert "overflows double precision" in verdict.justification
+
     def test_json_roundtrip(self):
         dec = decompose_ideal([(Z2**2 - Z1) * (Z2 + 2)])
         blob = json.dumps(dec.to_json_dict(), sort_keys=True)

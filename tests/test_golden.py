@@ -16,11 +16,11 @@ compares fresh reports with the committed files without writing anything.
 It prints every JSON path whose value changed, with the absolute and
 relative change of each number and the largest of each, and exits non-zero
 if anything other than a number changed (a verdict, status or note, a key,
-a list length).  The last digits of the floats depend on the numpy build,
-on the platform's libm (math.lgamma gives the monomial norms) and, in the
-dilation profiles, on scipy's Beta inverse CDF.  The files were written with
-numpy 2.4 and scipy 1.17 on glibc 2.36, the numpy and scipy versions
-.github/constraints.txt pins for the CI leg on Python 3.11.
+a list length).  The last digits of the floats depend on the numpy build
+and on the platform's libm (math.lgamma gives the monomial norms, and
+through them the dilation profiles).  The files were written with numpy 2.4
+on glibc 2.36, the numpy version .github/constraints.txt pins for the CI leg
+on Python 3.11.
 """
 
 from __future__ import annotations

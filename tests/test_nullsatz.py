@@ -526,7 +526,7 @@ class TestClassify:
         assert abs(v.witness[0]) < 1e-8 and abs(v.witness[1]) < 1e-8
 
     def test_dense_principal_attaches_certificate(self):
-        v = classify([Z1 - 2], BALL, mc_samples=20000)
+        v = classify([Z1 - 2], BALL)
         assert v.overall == DENSE
         assert v.certificate is not None
         assert v.certificate.status == "DENSE"

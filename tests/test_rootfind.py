@@ -10,13 +10,15 @@ from __future__ import annotations
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from nullsatz import rootfind
-from nullsatz.bergman import eval_grid
+from nullsatz.bergman import DomainSpec, eval_grid
+from nullsatz.nullsatz import classify
 from nullsatz.polyalg import BiPoly, GaussRational, UniPoly
 from nullsatz.rootfind import (
     MAX_SWEEPS,
@@ -326,6 +328,22 @@ class TestAberthBatch:
 
 
 class TestSolveFibers:
+    def test_far_fiber_overflow_is_silent(self):
+        # the z1 root of g2 sits near 6.7e297 i, where the Horner steps of
+        # coeff_rows overflow; under the suite's RuntimeWarning policy an
+        # unguarded overflow would raise
+        g1 = (Z1**2 * Z2**2 * GaussRational(-3, 1) + Z1 * Z2**2 * GaussRational(1, 1)
+              + Z1 * Z2)
+        g2 = Z1 * GaussRational(0, Fraction(3, 4)) + GaussRational(5 * 10**297, Fraction(3, 4))
+        alpha = complex(-g2.coeff(0, 0) / g2.coeff(1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = FiberPoly(g1).coeff_rows(np.array([alpha]))
+            solve_fibers(FiberPoly(g1), np.array([alpha]))
+            verdict = classify([g1, g2], DomainSpec.ball())
+        assert not np.isfinite(rows).all()
+        assert verdict.overall == "DENSE"
+
     def test_parabola_grid(self):
         fp = FiberPoly(Z2**2 - Z1)
         z1s = np.array([4.0, 9.0, -1.0], dtype=np.complex128)
