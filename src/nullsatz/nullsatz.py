@@ -53,6 +53,7 @@ GRID_PITCH = 0.01
 ONCOMP_TOL = 1e-6
 # every _COARSE_STRIDE-th grid sample is solved first to bound the minimum
 _COARSE_STRIDE = 16
+_SCAN_BLOCK = 2048  # kept samples solved at once, so the peak memory is bounded
 # the root-modulus floor of the grid scan: bisection steps past its
 # closed-form start, and the relative margin it is shrunk by
 _FLOOR_BISECTIONS = 6
@@ -253,14 +254,16 @@ def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: n
     the terms value the gauge adds.  The full pass runs on the other samples,
     in order, and returns the same (best_phi, best).  With r = 0 this is the
     bound phi >= |z1|^p alone; the floor is what prunes a component that
-    misses the domain, where |z1|^p <= 1 < phi everywhere.
+    misses the domain, where |z1|^p <= 1 < phi everywhere.  The full pass
+    runs _SCAN_BLOCK samples at a time; ties go to the first block.
     """
     s = _COARSE_STRIDE
     coarse_phi, _ = _sheet_phis(fiber, domain, z1s[::s], terms[::s])
     with np.errstate(over="ignore"):
         bound = terms + _root_floor(fiber.coeff_rows(z1s)) ** domain.q
-    keep = bound <= coarse_phi
-    return _sheet_phis(fiber, domain, z1s[keep], terms[keep])
+    keep = np.flatnonzero(bound <= coarse_phi)
+    blocks = np.split(keep, range(_SCAN_BLOCK, keep.size, _SCAN_BLOCK))
+    return min((_sheet_phis(fiber, domain, z1s[i], terms[i]) for i in blocks), key=lambda r: r[0])
 
 
 def _newton_z2(coeffs, z2: complex, iters: int = 12) -> complex:

@@ -316,7 +316,8 @@ class TestPrunedScan:
         assert type(got[0]) is type(want[0]) is float
         assert got == want
         assert solved[0] == z1s[:: ns._COARSE_STRIDE].size
-        return want, solved[1]
+        assert all(n <= ns._SCAN_BLOCK for n in solved[1:])
+        return want, sum(solved[1:])
 
     @pytest.mark.parametrize(
         "domain", [BALL, OMEGA11, OMEGA13], ids=["ball", "omega11", "omega13"]
@@ -362,6 +363,18 @@ class TestPrunedScan:
         assert best_phi == domain.z1_terms(np.array([c]))[0]
         assert best == (c, 0j)
         assert fine == 3
+
+    @pytest.mark.parametrize("block", [1, 2, 16])
+    def test_small_blocks(self, block, scanned_sizes, monkeypatch):
+        # the scans above fit one block; here the kept samples span several,
+        # and the three tied samples of the ball case fall in different ones.
+        # scanned_sizes holds the coarse pass, the blocks and the full scan
+        monkeypatch.setattr(ns, "_SCAN_BLOCK", block)
+        self.test_full_grid(scanned_sizes)
+        assert len(scanned_sizes) > 1 + 2 + 1
+        scanned_sizes.clear()
+        self.test_minimum_on_the_bound_and_tied(BALL, scanned_sizes)
+        assert len(scanned_sizes) == 1 + -(-3 // block) + 1
 
 
 def random_rows(seed):
