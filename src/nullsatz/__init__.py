@@ -50,7 +50,6 @@ from .decompose import (  # noqa: F401
     VarietyDecomposition,
     decompose_curve,
     decompose_ideal,
-    zero_dim_solve,
 )
 from .nullsatz import (  # noqa: F401
     CLOSED,

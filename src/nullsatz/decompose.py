@@ -36,8 +36,10 @@ from .rootfind import (
     RootSet,
     TrackError,
     _horner2,
+    _nearest_pairing,
     _UnionFind,
     all_roots,
+    circle_samples,
     loop_samples,
     segment_samples,
     solve_fibers,
@@ -72,6 +74,7 @@ class CurveComponent:
     base_point: complex
     base_fiber: tuple[complex, ...]  # full fiber over base_point (all sheets)
     vertical: bool = False
+    fit_residual: float | None = None  # held-out DFT row, relative; None if vertical
 
     def eval_defining(self, z1, z2):
         return _horner2(self.defining, z1, z2)
@@ -90,6 +93,7 @@ class CurveComponent:
                 {"z1": [w1.real, w1.imag], "z2": [w2.real, w2.imag]}
                 for w1, w2 in self.witnesses
             ],
+            "fit_residual": self.fit_residual,
         }
 
 
@@ -258,9 +262,7 @@ def _monodromy_components(
                 for i, j in enumerate(perm):
                     uf.union(i, j)
             orbits = uf.groups()
-            return _build_components(
-                parent, pp, fp, lc, base, fiber0, orbits, branch, pair_min, rng, resolution
-            )
+            return _build_components(parent, pp, fp, lc, base, fiber0, orbits, resolution)
         except (TrackError, DecomposeError) as exc:
             last_err = exc
             continue
@@ -278,11 +280,19 @@ def _build_components(
     base: complex,
     fiber0: RootSet,
     orbits: list[tuple[int, ...]],
-    branch: list[complex],
-    pair_min: float,
-    rng: np.random.Generator,
     resolution: int,
 ) -> list[CurveComponent]:
+    """Fit each orbit's lc(z1) · prod (z2 - sheet_i(z1)) by a DFT on |z1| = 1.
+
+    The nodes are the n-th roots of unity turned by the base point's
+    argument, with n one more than the z1-degree bound, so the DFT row of
+    the extra node must vanish; past TOL_WITNESS relative to the
+    coefficients the fit raises DecomposeError, and that row's relative
+    size is the component's fit_residual.  One path carries the base fiber
+    out along the ray to the first node and around the circle through every
+    node; each node's fiber comes from one cold batched solve, matched to
+    the tracked sheets.
+    """
     base_fiber = fiber0.as_array()
     scale = _coeff_scale(parent)
     for r in base_fiber:
@@ -290,72 +300,58 @@ def _build_components(
         if resid > TOL_WITNESS * scale * (1.0 + abs(base)) ** parent.deg1:
             raise DecomposeError(f"witness residual {resid:.3g} too large at base")
 
-    n_orbits = len(orbits)
-    deg_bound = max(0, (n_orbits - 1)) * max(lc.degree, 0) + max(pp.deg1, 0)
-    n_nodes = deg_bound + 1
+    # one node per coefficient of the z1-degree bound, and one held out
+    n = (len(orbits) - 1) * lc.degree + pp.deg1 + 2
+    per_arc = -(-64 * resolution // n)  # ceil: the loops' circle density
+    circle = circle_samples(0.0, 1.0, n * per_arc, start_angle=math.atan2(base.imag, base.real))
+    nodes = circle[: n * per_arc : per_arc]
+    path = np.concatenate(
+        [segment_samples(base, nodes[0], 24 * resolution)[:-1], circle[: (n - 1) * per_arc + 1]]
+    )
+    tp = track(fp, path, fiber0=fiber0)
+    tracked = tp.fibers[np.isin(tp.samples, nodes)]
 
-    # interpolation nodes: Chebyshev points on a random-direction diameter of
-    # the radius-2 disk around the base, kept clear of the branch set
-    nodes = None
-    for _ in range(MAX_BASE_ATTEMPTS):
-        phi = 2.0 * math.pi * rng.random()
-        direction = complex(math.cos(phi), math.sin(phi))
-        cand = [
-            base + 2.0 * math.cos((2 * k + 1) * math.pi / (2 * n_nodes)) * direction
-            for k in range(n_nodes)
-        ]
-        if all(
-            all(abs(t - b) > CLEARANCE * pair_min for b in branch) for t in cand
-        ):
-            nodes = cand
-            break
-    if nodes is None:
-        raise DecomposeError("could not place interpolation nodes clear of branch set")
+    roots, conv = solve_fibers(fp, nodes)
+    fibers = np.empty((n, pp.deg2), dtype=np.complex128)
+    for k in range(n):
+        cols = None
+        if roots[k].size == pp.deg2 and conv[k].all():
+            cols = _nearest_pairing(np.abs(tracked[k][:, None] - roots[k][None, :]))
+        if cols is None:
+            raise DecomposeError(
+                f"the fiber over interpolation node z1={nodes[k]:.6g} does not "
+                "match the tracked sheets"
+            )
+        fibers[k] = roots[k][cols]
 
-    # transport every sheet to every node
-    fibers_at_nodes = []
-    for t in nodes:
-        leg = segment_samples(base, t, max(8, 8 * resolution))
-        tp = track(fp, leg, fiber0=fiber0)
-        fibers_at_nodes.append(tp.end)
-    fibers_at_nodes = np.array(fibers_at_nodes)  # (n_nodes, m)
-
-    lc_vals = np.array([complex(lc.eval(complex(t))) for t in nodes])
-    node_arr = np.array(nodes, dtype=np.complex128)
-    vander = np.vander(node_arr, n_nodes, increasing=True)
+    lc_vals = fp.coeff_rows(nodes)[:, -1]
+    dft = np.conj(nodes)[None, :] ** np.arange(n)[:, None] / n  # inverse of the node powers
 
     comps = []
     for orbit in orbits:
-        s = len(orbit)
-        # z2-coefficients of lc(z1) * prod_{i in orbit} (z2 - sheet_i(z1)),
-        # sampled at the nodes; np.poly returns monic coefficients by
-        # descending power
-        coeff_samples = np.empty((n_nodes, s + 1), dtype=np.complex128)
-        for k in range(n_nodes):
-            mon = np.atleast_1d(np.poly(fibers_at_nodes[k][list(orbit)]))
-            coeff_samples[k] = lc_vals[k] * mon
-        interp = np.linalg.solve(vander, coeff_samples)  # (n_nodes, s+1)
-        # column j multiplies z2^(s-j); build C[a, b]
-        C = np.zeros((n_nodes, s + 1), dtype=np.complex128)
-        for j in range(s + 1):
-            C[:, s - j] = interp[:, j]
+        # z2-coefficients of lc · prod (z2 - sheet) at the nodes; np.poly
+        # gives them monic by descending power, so the columns are flipped
+        samples = lc_vals[:, None] * np.array([np.poly(f[list(orbit)]) for f in fibers])
+        C = (dft @ samples)[:, ::-1]
+        fit = float(np.abs(C[-1]).max() / np.abs(C).max())
+        if fit > TOL_WITNESS:
+            raise DecomposeError(f"component fit misses its held-out node by {fit:.3g}")
         # trim trailing zero z1-rows for compactness
-        top = C.shape[0]
+        top = n - 1
         while top > 1 and np.all(np.abs(C[top - 1]) < 1e-11):
             top -= 1
         C = C[:top]
 
-        witnesses = tuple((base, complex(base_fiber[i])) for i in orbit)
         comps.append(
             CurveComponent(
                 parent=parent,
                 orbit=tuple(orbit),
-                deg_z2=s,
+                deg_z2=len(orbit),
                 defining=C,
-                witnesses=witnesses,
+                witnesses=tuple((base, complex(base_fiber[i])) for i in orbit),
                 base_point=base,
                 base_fiber=tuple(base_fiber.tolist()),
-                vertical=False,
+                fit_residual=fit,
             )
         )
     return comps
@@ -483,8 +479,8 @@ def _refine_points(
     return z, np.hypot(gr, gi)
 
 
-def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
-    """Common zeros of a system with trivial gcd (the point part).
+def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
+    """Common zeros of two or more nonzero generators with a constant gcd.
 
     Candidate z1 values come from a z2-free generator when one exists,
     otherwise from the first nonzero pair resultant; z2 values from the
@@ -492,20 +488,6 @@ def zero_dim_solve(generators: list[BiPoly]) -> list[IsolatedPoint]:
     pair, every candidate at once; acceptance requires every generator
     residual below TOL_POINT.
     """
-    gens = [g for g in generators if not g.is_zero]
-    if len(gens) < 2:
-        raise ValueError("zero_dim_solve needs at least two nonzero generators")
-    common = gcd_many(gens)
-    if not common.is_constant:
-        raise DecomposeError(
-            "generators share the nonconstant factor "
-            f"{common!r}; extract the curve part (gcd) before point solving"
-        )
-    return _solve_points(gens)
-
-
-def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
-    """zero_dim_solve on two or more nonzero generators with a constant gcd."""
     if any(g.is_constant for g in gens):
         return []  # a unit lies in the system: no common zeros
 
@@ -547,11 +529,12 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     # z2 candidates: the roots of the lowest-degree nonvanishing slice, one
     # fiber solve per slicer over every z1 root it has yet to serve; a root
     # that no slice serves keeps z2 = 0 (the system may force z2 only
-    # through constants)
+    # through constants), unless every slice overflowed there
     alphas = np.array(candidates, dtype=np.complex128)
     betas = [np.zeros(1, dtype=np.complex128)] * len(candidates)
     pending = list(range(len(candidates)))
-    for g in sorted((g for g in gens if g.deg2 >= 1), key=lambda g: g.deg2):
+    slicers = sorted((g for g in gens if g.deg2 >= 1), key=lambda g: g.deg2)
+    for g in slicers:
         if not pending:
             break
         roots, _ = solve_fibers(FiberPoly(g), alphas[pending])
@@ -559,6 +542,15 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
             if r.size:
                 betas[i] = r
         pending = [i for i, r in zip(pending, roots) if not r.size]
+    if pending and slicers:
+        finite = np.zeros(len(pending), dtype=bool)
+        for g in slicers:
+            finite |= np.isfinite(FiberPoly(g).coeff_rows(alphas[pending])).all(axis=1)
+        if not finite.all():
+            raise DecomposeError(
+                "a coefficient overflows double precision over the z1 root "
+                f"{alphas[pending][~finite][0]:.6g}"
+            )
     starts = np.array([(a, b) for a, bs in zip(candidates, betas) for b in bs])
 
     gA, gB = pair

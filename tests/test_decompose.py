@@ -24,7 +24,6 @@ from nullsatz.decompose import (
     _solve_points,
     decompose_curve,
     decompose_ideal,
-    zero_dim_solve,
 )
 from nullsatz.nullsatz import classify
 from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2, resultant_z2
@@ -93,9 +92,7 @@ def loop_perms(monkeypatch):
 
     def spy(fp, path, fiber0=None):
         tp = track(fp, path, fiber0=fiber0)
-        # a loop closes up and goes somewhere; a leg to an interpolation node
-        # can have length zero
-        if abs(path[-1] - path[0]) <= 1e-12 < np.abs(path - path[0]).max():
+        if abs(path[-1] - path[0]) <= 1e-12:
             perms.append(tp.loop_permutation())
         return tp
 
@@ -222,52 +219,102 @@ class TestComponentEvidence:
             decompose_curve(BiPoly.constant(3))
 
 
+class TestUnitCircleFit:
+    """Components are fitted by a DFT on |z1| = 1 with one held-out node."""
+
+    @pytest.mark.parametrize("poly", [poly for poly, _ in COMPONENT_COUNTS])
+    def test_fit_residual_is_reported(self, poly):
+        for comp in decompose_curve(poly):
+            assert comp.fit_residual <= 1e-12
+            assert json.loads(json.dumps(comp.to_json_dict()))["fit_residual"] == comp.fit_residual
+
+    def test_vertical_lines_have_no_fit(self):
+        for comp in decompose_curve(Z1**2 - 1):
+            assert comp.fit_residual is None
+            assert comp.to_json_dict()["fit_residual"] is None
+
+    @pytest.mark.parametrize("poly", [Z2**2 - Z1, (Z2 - Z1) * (Z2 + 2)])
+    def test_moved_node_root_fails_the_fit(self, poly, monkeypatch):
+        # one root at one node off by 1e-6 leaves the held-out row far from 0
+        real = dec.solve_fibers
+
+        def moved(fp, z1s):
+            roots, conv = real(fp, z1s)
+            roots[0] = roots[0] + np.where(np.arange(roots[0].size) == 0, 1e-6, 0)
+            return roots, conv
+
+        monkeypatch.setattr(dec, "solve_fibers", moved)
+        with pytest.raises(DecomposeError, match="component fit misses its held-out node"):
+            decompose_curve(poly)
+
+    @pytest.mark.parametrize(
+        "poly,paths",
+        [
+            (Z2**2 - Z1, 1),
+            ((Z2 - Z1) * (Z2 + Z1) * (Z2 - 2 * Z1), 1),
+            ((Z2**2 - Z1) ** 2 * (Z2 + 2), 2),  # two square-free factors
+            (Z1 * (Z2 - 1), 1),  # the line z1 = 0 is not tracked
+            (Z1**2 - 1, 0),
+        ],
+    )
+    def test_one_open_path_per_primitive_factor(self, poly, paths, monkeypatch):
+        opened = []
+        track = dec.track
+
+        def spy(fp, path, fiber0=None):
+            if abs(path[-1] - path[0]) > 1e-12:
+                opened.append(np.abs(np.diff(path)).min())
+            return track(fp, path, fiber0=fiber0)
+
+        monkeypatch.setattr(dec, "track", spy)
+        decompose_curve(poly)
+        assert len(opened) == paths
+        assert all(step > 0 for step in opened)
+
+
 class TestZeroDimSolve:
     def test_origin(self):
-        pts = zero_dim_solve([Z1, Z2])
+        pts = decompose_ideal([Z1, Z2]).points
         assert len(pts) == 1
         z1, z2 = pts[0].location
         assert abs(z1) < 1e-10 and abs(z2) < 1e-10
         assert max(pts[0].residuals) < 1e-10
 
     def test_parabola_meets_line(self):
-        pts = zero_dim_solve([Z2**2 - Z1, Z2 + 2])
+        pts = decompose_ideal([Z2**2 - Z1, Z2 + 2]).points
         assert len(pts) == 1
         z1, z2 = pts[0].location
         assert z1 == pytest.approx(4.0, abs=1e-8)
         assert z2 == pytest.approx(-2.0, abs=1e-8)
 
     def test_inconsistent_system_is_empty(self):
-        assert zero_dim_solve([Z2, Z2 - 3]) == []
+        assert decompose_ideal([Z2, Z2 - 3]).points == ()
 
     def test_tangential_intersection(self):
-        pts = zero_dim_solve([Z2**2 - Z1, Z2**2 + Z1])
+        pts = decompose_ideal([Z2**2 - Z1, Z2**2 + Z1]).points
         assert len(pts) == 1
         z1, z2 = pts[0].location
         assert abs(z1) < 1e-8 and abs(z2) < 1e-8
 
     def test_two_solutions(self):
         # z2^2 = z1 and z1 = 1 meet at (1, 1) and (1, -1)
-        pts = zero_dim_solve([Z2**2 - Z1, Z1 - 1])
+        pts = decompose_ideal([Z2**2 - Z1, Z1 - 1]).points
         locs = sorted((p.location[1].real for p in pts))
         assert locs == pytest.approx([-1.0, 1.0], abs=1e-8)
 
     def test_nonconstant_gcd_rejected(self):
+        # every pair resultant of generators with a common factor vanishes
         f = Z2**2 - Z1
         with pytest.raises(DecomposeError):
-            zero_dim_solve([f, f * (Z2 + 1)])
+            _solve_points([f, f * (Z2 + 1)])
 
     def test_pairwise_shared_factors_structural_error(self):
         a, b, c = Z2, Z2 - 1, Z2 - 2
         with pytest.raises(DecomposeError):
-            zero_dim_solve([a * b, b * c, c * a])
-
-    def test_needs_two_generators(self):
-        with pytest.raises(ValueError):
-            zero_dim_solve([Z1])
+            _solve_points([a * b, b * c, c * a])
 
     def test_unit_in_system_gives_empty(self):
-        assert zero_dim_solve([Z1, BiPoly.constant(2)]) == []
+        assert _solve_points([Z1, BiPoly.constant(2)]) == []
 
 
 def _random_bipoly(rng, max1=6, max2=5, terms=8):

@@ -20,7 +20,11 @@ a list length).  The last digits of the floats depend on the numpy build
 and on the platform's libm (math.lgamma gives the monomial norms, and
 through them the dilation profiles).  The files were written with numpy 2.4
 on glibc 2.36, the numpy version .github/constraints.txt pins for the CI leg
-on Python 3.11.
+on Python 3.11, at the default BLAS thread count: under
+OPENBLAS_NUM_THREADS=1 LAPACK takes its single-thread QR path, and
+density_princ_two and classify_princ_two_{ball,1_3} differ from their files
+in the last digits of 7 or 8 projection distances.  Regenerate with the
+default thread count.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Classifier tests: intersection protocol, verdict aggregation, and the
 factored-product oracle corpus on two domains."""
 
+import functools
 import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import nullsatz.nullsatz as ns
 from nullsatz.bergman import DomainSpec
@@ -504,9 +506,11 @@ def gauss(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
-# NEITHER line-times-conic products on Omega(1, 1) that answer INCONCLUSIVE:
-# cases r1.c2 of perfbench's curves seed 503 and r0.c2 of seed 68
-KNOWN_INCONCLUSIVE = {
+# NEITHER line-times-conic products on Omega(1, 1) whose base points sit far
+# out (|c| ~ 80 on 503, ~ 280 on 68): cases r1.c2 of perfbench's curves seeds
+# 503 and 73 and r0.c2 of seed 68.  A conic fitted near the base point missed
+# its sheets in the unit disk by more than ONCOMP_TOL (INCONCLUSIVE).
+FAR_BASE_POINT = {
     "curves503.r1c2": Z2**3 + gauss("1/2", -1) * Z1 * Z2**2 + gauss("-1/2", "7/2") * Z2**2
     + gauss("1/2", 1) * Z1**2 * Z2 + gauss("3/4", 1) * Z1 * Z2
     + gauss("17/64", "-27/16") * Z2 + gauss("5/4") * Z1**3 + gauss("-5/2", 1) * Z1**2
@@ -515,7 +519,40 @@ KNOWN_INCONCLUSIVE = {
     + gauss(-1, "1/2") * Z1**2 * Z2 + gauss("-1/16", "-1/4") * Z1 * Z2
     + gauss("27/32", "-1/32") * Z2 + gauss("-7/8", "3/4") * Z1**3 + gauss("-7/4", "-7/2") * Z1**2
     + gauss("-5/128", "-3/128") * Z1 + gauss("7/64", "-7/64"),
+    "curves73.r1c2": Z2**3 + gauss("1/2", -1) * Z1 * Z2**2 + gauss("13/4", -1) * Z2**2
+    + gauss("1/2", 1) * Z1**2 * Z2 + gauss("-9/8", "-1/4") * Z1 * Z2
+    + gauss("-143/128", "-225/64") * Z2 + gauss("5/4") * Z1**3 + gauss("7/4", "7/2") * Z1**2
+    + gauss("-35/256", "15/64") * Z1 + gauss("-217/256", "-7/128"),
 }
+# each case as built and with z1, z2 swapped (Omega(1, 1) is symmetric)
+FAR_BASE_CASES = {
+    f"{name}-{orient}": f.swap_vars() if orient == "swapped" else f
+    for name, f in FAR_BASE_POINT.items()
+    for orient in ("z1z2", "swapped")
+}
+
+
+@functools.cache
+def _far_base_verdict(case: str):
+    return classify([FAR_BASE_CASES[case]], OMEGA11, with_certificate=False)
+
+
+def _sympy_factors(f: BiPoly) -> list[np.ndarray]:
+    """Coefficient matrices [a, b] -> z1^a z2^b of f's factors over Q(i)."""
+    s1, s2 = sp.symbols("z1 z2")
+    expr = sum(
+        (sp.Rational(c.re.numerator, c.re.denominator)
+         + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * s1**a * s2**b
+        for (a, b), c in f.terms.items()
+    )
+    out = []
+    for factor, _ in sp.factor_list(expr, s1, s2, gaussian=True)[1]:
+        poly = sp.Poly(factor, s1, s2)
+        C = np.zeros((poly.degree(s1) + 1, poly.degree(s2) + 1), dtype=np.complex128)
+        for (a, b), c in poly.terms():
+            C[a, b] = complex(c)
+        out.append(C)
+    return out
 
 
 class TestClassify:
@@ -615,17 +652,32 @@ class TestClassify:
         assert [r.verdict for r in conic] == [INCONCLUSIVE]
         assert conic[0].trace["note"] == "polish left the component"
 
-    @pytest.mark.parametrize("f", [KNOWN_INCONCLUSIVE[k] for k in sorted(KNOWN_INCONCLUSIVE)],
-                             ids=sorted(KNOWN_INCONCLUSIVE))
-    def test_far_base_point_curves_are_never_wrong(self, f):
-        # a line times a conic on Omega(1, 1), NEITHER by construction; the
-        # base point sits far out (|c| ~ 80 and ~ 280), and the conic's
-        # interpolated sheets miss the exact ones by more than ONCOMP_TOL
-        # near its minimum, so an answer other than NEITHER must be
-        # INCONCLUSIVE, never CLOSED or DENSE
-        v = classify([f], OMEGA11, with_certificate=False)
-        assert v.overall in (NEITHER, INCONCLUSIVE)
+    @pytest.mark.parametrize("case", sorted(FAR_BASE_CASES))
+    def test_far_base_point_curves_answer_neither(self, case):
+        # a line times a conic on Omega(1, 1), NEITHER by construction: the
+        # components are fitted on |z1| = 1, however far the base point is
+        v = _far_base_verdict(case)
+        assert v.overall == NEITHER
         assert len(v.results) == 2
+
+    @pytest.mark.parametrize("case", sorted(FAR_BASE_CASES))
+    def test_far_base_point_fits_match_sympy_factors(self, case):
+        # each fitted polynomial is, up to one scalar, a factor over Q(i)
+        factors = _sympy_factors(FAR_BASE_CASES[case])
+        comps = [c for c in _far_base_verdict(case).decomposition.curve_components
+                 if not c.vertical]
+        assert len(comps) == len(factors)
+        for c in comps:
+            assert c.fit_residual <= 1e-8
+            errs = []
+            for F in factors:
+                shape = np.maximum(F.shape, c.defining.shape)
+                D, G = np.zeros(shape, complex), np.zeros(shape, complex)
+                D[: c.defining.shape[0], : c.defining.shape[1]] = c.defining
+                G[: F.shape[0], : F.shape[1]] = F
+                scalar = np.vdot(D, G) / np.vdot(D, D)
+                errs.append(np.abs(scalar * D - G).max() / np.abs(G).max())
+            assert min(errs) <= 1e-9
 
     @pytest.mark.parametrize(
         "f",
