@@ -14,7 +14,6 @@ from .polyalg import (  # noqa: F401
     BiPoly,
     GaussRational,
     PolyFormatError,
-    UniPoly,
     ideal_from_json,
     load_ideal,
     load_poly,

@@ -21,20 +21,19 @@ import numpy as np
 
 from .polyalg import (
     BiPoly,
-    UniPoly,
     content_pp_z2,
     exact_div,
+    gcd2,
     gcd_many,
     poly_to_json,
     resultant_z2,
     squarefree,
-    unipoly_gcd,
 )
 from .rootfind import (
     FiberPoly,
     RootFindError,
-    RootSet,
     TrackError,
+    _fiber_at,
     _horner2,
     _nearest_pairing,
     _UnionFind,
@@ -137,18 +136,19 @@ class VarietyDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_roots(u: UniPoly) -> list[complex]:
-    """Distinct roots of u, after exact square-free deflation.
+def _distinct_roots(u: BiPoly) -> list[complex]:
+    """Distinct roots of u, a polynomial in z1 alone, after exact square-free
+    deflation.
 
     Multiple roots (discriminants and resultants are full of them) scatter
     numerically as tol**(1/multiplicity); dividing out gcd(u, u') first
     keeps every root simple and accurate.  A root solve that does not
     converge raises DecomposeError.
     """
-    if u.degree >= 2:
-        g = unipoly_gcd(u, u.deriv())
-        if g.degree >= 1:
-            u = u.exact_div(g)
+    if u.deg1 >= 2:
+        g = gcd2(u, u.deriv(1))
+        if g.deg1 >= 1:
+            u = exact_div(u, g)
     try:
         rs = all_roots(u)
     except RootFindError as exc:
@@ -164,7 +164,7 @@ def _coeff_scale(f: BiPoly) -> float:
     return 1.0 + max((abs(complex(c)) for c in f.terms.values()), default=0.0)
 
 
-def _vertical_components(parent: BiPoly, cont: UniPoly) -> list[CurveComponent]:
+def _vertical_components(parent: BiPoly, cont: BiPoly) -> list[CurveComponent]:
     """One component per root of the z1-content: the lines z1 = c."""
     comps = []
     for idx, c in enumerate(sorted(_distinct_roots(cont), key=lambda z: (z.real, z.imag))):
@@ -187,17 +187,17 @@ def _vertical_components(parent: BiPoly, cont: UniPoly) -> list[CurveComponent]:
 def _branch_candidates(pp: BiPoly) -> list[complex]:
     """z1 values where sheets can collide or escape: discriminant and
     leading-coefficient roots."""
-    disc = resultant_z2(pp, pp.deriv(2)) if pp.deg2 >= 1 else UniPoly([1])
+    disc = resultant_z2(pp, pp.deriv(2)) if pp.deg2 >= 1 else BiPoly.constant(1)
     if disc.is_zero:
         raise DecomposeError(
             "discriminant vanished identically on a primitive square-free "
             "factor; input was not square-free"
         )
     pts: list[complex] = []
-    if disc.degree >= 1:
+    if disc.deg1 >= 1:
         pts.extend(_distinct_roots(disc))
     lc = pp.z2_coeffs()[-1]
-    if lc.degree >= 1:
+    if lc.deg1 >= 1:
         pts.extend(_distinct_roots(lc))
     out: list[complex] = []
     for z in pts:
@@ -248,7 +248,7 @@ def _monodromy_components(
         if any(abs(base - b) < CLEARANCE * pair_min for b in branch):
             continue
         try:
-            fiber0 = all_roots(fp.coeffs_at(base))
+            fiber0 = _fiber_at(fp, base)
             uf = _UnionFind(m)
             for b in branch:
                 if len(uf.groups()) == 1:  # one orbit: no loop can split it
@@ -276,9 +276,9 @@ def _build_components(
     parent: BiPoly,
     pp: BiPoly,
     fp: FiberPoly,
-    lc: UniPoly,
+    lc: BiPoly,
     base: complex,
-    fiber0: RootSet,
+    fiber0: np.ndarray,
     orbits: list[tuple[int, ...]],
     resolution: int,
 ) -> list[CurveComponent]:
@@ -293,15 +293,14 @@ def _build_components(
     node; each node's fiber comes from one cold batched solve, matched to
     the tracked sheets.
     """
-    base_fiber = fiber0.as_array()
     scale = _coeff_scale(parent)
-    for r in base_fiber:
+    for r in fiber0:
         resid = abs(parent.eval(complex(base), complex(r)))
         if resid > TOL_WITNESS * scale * (1.0 + abs(base)) ** parent.deg1:
             raise DecomposeError(f"witness residual {resid:.3g} too large at base")
 
     # one node per coefficient of the z1-degree bound, and one held out
-    n = (len(orbits) - 1) * lc.degree + pp.deg1 + 2
+    n = (len(orbits) - 1) * lc.deg1 + pp.deg1 + 2
     per_arc = -(-64 * resolution // n)  # ceil: the loops' circle density
     circle = circle_samples(0.0, 1.0, n * per_arc, start_angle=math.atan2(base.imag, base.real))
     nodes = circle[: n * per_arc : per_arc]
@@ -348,9 +347,9 @@ def _build_components(
                 orbit=tuple(orbit),
                 deg_z2=len(orbit),
                 defining=C,
-                witnesses=tuple((base, complex(base_fiber[i])) for i in orbit),
+                witnesses=tuple((base, complex(fiber0[i])) for i in orbit),
                 base_point=base,
-                base_fiber=tuple(base_fiber.tolist()),
+                base_fiber=tuple(fiber0.tolist()),
                 fit_residual=fit,
             )
         )
@@ -375,10 +374,10 @@ def decompose_curve(
     comps: list[CurveComponent] = []
     for factor, _mult in squarefree(g):
         if factor.deg2 == 0:
-            comps.extend(_vertical_components(factor, factor.as_unipoly_z1()))
+            comps.extend(_vertical_components(factor, factor))
             continue
         cont, pp = content_pp_z2(factor)
-        if cont.degree >= 1:
+        if cont.deg1 >= 1:
             comps.extend(_vertical_components(factor, cont))
         if pp.deg2 >= 1:
             comps.extend(_monodromy_components(factor, pp, seed, resolution))
@@ -498,7 +497,7 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     pair: tuple[BiPoly, BiPoly] | None = None
     if z2free:
         src = z2free[0]
-        candidates = _distinct_roots(src.as_unipoly_z1())
+        candidates = _distinct_roots(src)
         other = next(
             (g for g in gens if g.deg2 >= 1),
             next(g for g in gens if g is not src),
@@ -513,7 +512,7 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
                     continue
                 found = True
                 pair = (gens[i], gens[j])
-                if res.degree >= 1:
+                if res.deg1 >= 1:
                     candidates = _distinct_roots(res)
                 break
             if found:

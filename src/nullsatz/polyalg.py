@@ -1,10 +1,12 @@
 """Exact bivariate polynomial arithmetic over the Gaussian rationals.
 
 Polynomials in z1, z2 carry coefficients in Q(i), stored as pairs of
-``fractions.Fraction``.  All structural algebra (gcd, square-free splitting,
-resultants) happens exactly here; floating point enters only when a polynomial
-is exported through :meth:`BiPoly.coeff_matrix` or :meth:`UniPoly.to_complex`
-for the numeric stages.
+``fractions.Fraction``.  There is one exact polynomial type, ``BiPoly``; a
+polynomial in z1 alone (a z2-content, a z2-coefficient, a resultant) is a
+``BiPoly`` of z2-degree 0.  All structural algebra (gcd, square-free
+splitting, resultants) happens exactly here; floating point enters only
+when a polynomial is exported through :meth:`BiPoly.coeff_matrix` for the
+numeric stages.
 
 Conventions:
 
@@ -12,17 +14,18 @@ Conventions:
 * gcds and square-free factors are normalized so the coefficient of the
   lexicographic leading term (ordered by z2-degree, then z1-degree) is 1,
 * the Sylvester resultant is taken with respect to z2 and returned as an
-  exact univariate polynomial in z1.
+  exact polynomial in z1 alone.
 
-Bivariate gcds and z2-resultants both come from one subresultant
-pseudo-remainder sequence (Collins 1967; Brown & Traub 1971): the gcd from
-its last nonzero element, the resultant from its end.  Univariate gcds run
-the same sequence with constant coefficients.  The sequence runs on Gaussian
-integers: gcd2, resultant_z2 and unipoly_gcd multiply each argument by the
-lcm of its coefficient denominators once, run it in (Z[i][z1])[z2] on pairs
-of Python ints, and convert the one element they need back to Q(i).
-``GaussRational``, ``UniPoly`` and ``BiPoly`` store ``Fraction`` pairs, and
-everything else (exact division, contents, evaluation) runs on them.
+Gcds and z2-resultants both come from one subresultant pseudo-remainder
+sequence (Collins 1967; Brown & Traub 1971): the gcd from its last nonzero
+element, the resultant from its end.  A gcd of two polynomials in z1 alone
+runs the same sequence on their swaps, whose z2-coefficients are constants.
+The sequence runs on Gaussian integers: gcd2 and resultant_z2 multiply each
+argument by the lcm of its coefficient denominators once, run it in
+(Z[i][z1])[z2] on pairs of Python ints, and convert the one element they
+need back to Q(i).  ``GaussRational`` and ``BiPoly`` store ``Fraction``
+pairs, and everything else (exact division, contents, evaluation) runs on
+them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ _RatLike = "int | Fraction | str"
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):  # JSON true loads as True
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -175,138 +178,6 @@ class GaussRational:
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
-
-
-class UniPoly:
-    """Univariate polynomial over Q(i); coefficient index = power."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[GaussRational] = ()):
-        cs = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> GaussRational:
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (GaussRational, int, Fraction)):
-            k = other if isinstance(other, GaussRational) else GaussRational(other)
-            return UniPoly([c * k for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("UniPoly division by zero")
-        q = [GR_ZERO] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.lead
-        while len(rem) - 1 >= d and rem:
-            while rem and rem[-1].is_zero:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ExactDivisionError("univariate division left a remainder")
-        return q
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self * (GR_ONE / self.lead)
-
-    def deriv(self) -> "UniPoly":
-        # GaussRational * int would coerce k and take four Fraction products
-        return UniPoly(
-            [GaussRational(c.re * k, c.im * k) for k, c in enumerate(self.coeffs) if k]
-        )
-
-    def eval(self, x):
-        """Horner evaluation; exact for GaussRational x, float for complex x."""
-        if isinstance(x, (complex, float)):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * x + complex(c)
-            return acc
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_complex(self) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros(1, dtype=np.complex128)
-        return np.array([complex(c) for c in self.coeffs], dtype=np.complex128)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "UniPoly(0)"
-        parts = [f"{c!r}*x^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]
-        return "UniPoly(" + " + ".join(parts) + ")"
 
 
 class BiPoly:
@@ -466,21 +337,27 @@ class BiPoly:
     # -- evaluation & numeric export ----------------------------------------
 
     def eval(self, x1, x2):
-        """Evaluate at a point; exact for GaussRational inputs, complex otherwise."""
-        if isinstance(x1, (complex, float)) or isinstance(x2, (complex, float)):
-            cs = [u.eval(complex(x1)) for u in self.z2_coeffs()]
-            acc = 0j
-            for c in reversed(cs):
-                acc = acc * complex(x2) + c
-            return acc
-        if isinstance(x1, int):
-            x1 = GaussRational(x1)
-        if isinstance(x2, int):
-            x2 = GaussRational(x2)
-        cs = [u.eval(x1) for u in self.z2_coeffs()]
-        acc = GR_ZERO
-        for c in reversed(cs):
-            acc = acc * x2 + c
+        """Evaluate at a point; exact for GaussRational inputs, complex otherwise.
+
+        Horner in z1 along each z2-row, then in z2 over the row values;
+        decompose._eval_stack repeats this order on floats bit for bit.
+        """
+        floats = isinstance(x1, (complex, float)) or isinstance(x2, (complex, float))
+        if floats:
+            x1, x2 = complex(x1), complex(x2)
+        else:
+            if isinstance(x1, int):
+                x1 = GaussRational(x1)
+            if isinstance(x2, int):
+                x2 = GaussRational(x2)
+        zero = 0j if floats else GR_ZERO
+        acc = zero
+        for row in reversed(self._z2_rows()):
+            r = zero
+            for a in range(max(row, default=-1), -1, -1):
+                c = row.get(a, GR_ZERO)
+                r = r * x1 + (complex(c) if floats else c)
+            acc = acc * x2 + r
         return acc
 
     def complex_terms(self) -> tuple[tuple[int, int, complex], ...]:
@@ -499,37 +376,16 @@ class BiPoly:
             m[a, b] = complex(c)
         return m
 
-    def z2_coeffs(self) -> list[UniPoly]:
-        """Coefficients as polynomials in z1; index = z2 power."""
-        if self.is_zero:
-            return []
-        buckets: list[dict[int, GaussRational]] = [dict() for _ in range(self.deg2 + 1)]
+    def _z2_rows(self) -> list[dict[int, GaussRational]]:
+        # {z1 power: coefficient} for each z2 power
+        rows: list[dict[int, GaussRational]] = [{} for _ in range(self.deg2 + 1)]
         for (a, b), c in self.terms.items():
-            buckets[b][a] = c
-        out = []
-        for bucket in buckets:
-            n = max(bucket, default=-1) + 1
-            out.append(UniPoly([bucket.get(i, GR_ZERO) for i in range(n)]))
-        return out
+            rows[b][a] = c
+        return rows
 
-    @classmethod
-    def from_z2_coeffs(cls, cs: Iterable[UniPoly]) -> "BiPoly":
-        terms = {}
-        for b, u in enumerate(cs):
-            for a, c in enumerate(u.coeffs):
-                if not c.is_zero:
-                    terms[(a, b)] = c
-        return cls(terms)
-
-    @classmethod
-    def from_unipoly_z1(cls, u: UniPoly) -> "BiPoly":
-        return cls({(a, 0): c for a, c in enumerate(u.coeffs) if not c.is_zero})
-
-    def as_unipoly_z1(self) -> UniPoly:
-        if self.deg2 > 0:
-            raise ValueError("polynomial involves z2")
-        n = self.deg1 + 1
-        return UniPoly([self.coeff(a, 0) for a in range(max(n, 0))])
+    def z2_coeffs(self) -> list["BiPoly"]:
+        """Coefficients as polynomials in z1 alone (z2-degree 0); index = z2 power."""
+        return [BiPoly({(a, 0): c for a, c in row.items()}) for row in self._z2_rows()]
 
     # -- display -------------------------------------------------------------
 
@@ -611,26 +467,26 @@ def divides(g: BiPoly, f: BiPoly) -> bool:
         return False
 
 
-def content_pp_z2(f: BiPoly) -> tuple[UniPoly, BiPoly]:
+def content_pp_z2(f: BiPoly) -> tuple[BiPoly, BiPoly]:
     """Split f into (content, primitive part) viewing f in (Q(i)[z1])[z2].
 
-    The content is the monic gcd in Q(i)[z1] of the z2-coefficients, taken
-    from the lowest-degree one on; the primitive part is the exact quotient.
+    The content is the monic gcd of the z2-coefficients, a polynomial in z1
+    alone taken from the lowest-degree coefficient on; the primitive part is
+    the exact quotient f / content.
     """
     if f.is_zero:
         raise ZeroPolynomialError("content of the zero polynomial")
     cs = f.z2_coeffs()
-    cont = min((u for u in cs if not u.is_zero), key=lambda u: u.degree)
+    cont = min((u for u in cs if not u.is_zero), key=lambda u: u.deg1)
     for u in cs:
-        if cont.degree == 0:
+        if cont.deg1 == 0:
             break
         if u is not cont:
-            cont = unipoly_gcd(cont, u)
-    cont = cont.monic()
-    if cont.degree == 0:
+            cont = gcd2(cont, u)
+    cont = lex_monic(cont)
+    if cont.deg1 == 0:
         return cont, f
-    pp = BiPoly.from_z2_coeffs([u.exact_div(cont) for u in cs])
-    return cont, pp
+    return cont, exact_div(f, cont)
 
 
 # The Gaussian-integer kernel.  A Gaussian integer is an (re, im) pair of
@@ -784,52 +640,28 @@ def _subresultant_prs(a: list, b: list):
     return a, b, h, s
 
 
-def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd in Q(i)[x]; the zero polynomial when both are zero.
-
-    Clears denominators once and runs the subresultant PRS of gcd2 with each
-    coefficient a constant of Z[i][z1].  The last nonzero element is made
-    monic over Q(i) once.
-    """
-    if b.is_zero:
-        return a.monic()
-    if a.is_zero:
-        return b.monic()
-    if a.is_constant or b.is_constant:
-        return UniPoly([GR_ONE])
-
-    def scalars(u: UniPoly) -> list:
-        d = _lcm_denominators(u.coeffs)
-        return [[_zi(c, d)] if not c.is_zero else [] for c in u.coeffs]
-
-    x, y, _, _ = _subresultant_prs(scalars(a), scalars(b))
-    if y:
-        return UniPoly([GR_ONE])
-    cr, ci = x[-1][0]
-    n = cr * cr + ci * ci
-    return UniPoly(
-        [
-            GaussRational(Fraction(re * cr + im * ci, n), Fraction(im * cr - re * ci, n))
-            for re, im in (c[0] if c else (0, 0) for c in x)
-        ]
-    )
-
-
 def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact gcd in Q(i)[z1, z2], normalized lex-monic (z2 before z1).
 
     The gcd of the z2-contents times the primitive part of the last nonzero
     element of the subresultant PRS of the primitive parts, run on Z[i] after
     each part is cleared of denominators.  When that element is free of z2
-    (always so for a z2-free argument) the primitive parts are coprime.
+    (always so for a z2-free argument) the primitive parts are coprime.  Two
+    arguments in z1 alone run the PRS on their swaps, whose z2-coefficients
+    are constants, with no content split.
     """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
     if f.is_zero or g.is_zero:
         return lex_monic(f + g)
+    if f.is_constant or g.is_constant:
+        return BiPoly.constant(1)
+    if f.deg2 == 0 and g.deg2 == 0:
+        a, b, _, _ = _subresultant_prs(_zi_z2(f.swap_vars())[0], _zi_z2(g.swap_vars())[0])
+        return BiPoly.constant(1) if b else lex_monic(_from_zi_z2(a).swap_vars())
     cf, pf = content_pp_z2(f)
     cg, pg = content_pp_z2(g)
-    cont = BiPoly.from_unipoly_z1(unipoly_gcd(cf, cg))
+    cont = gcd2(cf, cg)
     a, b, _, _ = _subresultant_prs(_zi_z2(pf)[0], _zi_z2(pg)[0])
     if b:
         return cont
@@ -837,8 +669,8 @@ def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     return lex_monic(cont * gpp)
 
 
-def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Exact Sylvester resultant Res_{z2}(f, g) as a polynomial in z1.
+def resultant_z2(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Exact Sylvester resultant Res_{z2}(f, g), a polynomial in z1 alone.
 
     Read off the end of the subresultant PRS (Collins 1967; Brown & Traub
     1971): s * lc(B)^deg A / h^(deg A - 1) for the last, z2-free element B.
@@ -857,11 +689,17 @@ def resultant_z2(f: BiPoly, g: BiPoly) -> UniPoly:
     gz, dg = _zi_z2(g)
     a, b, h, s = _subresultant_prs(fz, gz)
     if not b:
-        return UniPoly()
+        return BiPoly.zero()
     da = len(a) - 1
     r = _zdiv(_zpow(b[0], da), _zpow(h, da - 1))
     d = s * df ** g.deg2 * dg ** f.deg2
-    return UniPoly([GaussRational(Fraction(re, d), Fraction(im, d)) for re, im in r])
+    return BiPoly(
+        {
+            (k, 0): GaussRational(Fraction(re, d), Fraction(im, d))
+            for k, (re, im) in enumerate(r)
+            if re or im
+        }
+    )
 
 
 def gcd_many(polys: Iterable[BiPoly]) -> BiPoly:
@@ -937,7 +775,8 @@ def poly_from_json(obj) -> BiPoly:
             a, b = t["a"], t["b"]
         except KeyError as exc:
             raise PolyFormatError(f"term #{idx} is missing exponent {exc}") from None
-        if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+        # JSON true/false load as bool, which is an int subclass
+        if not all(type(e) is int and e >= 0 for e in (a, b)):
             raise PolyFormatError(f"term #{idx} has bad exponents a={a!r} b={b!r}")
         if isinstance(t.get("re"), float) or isinstance(t.get("im"), float):
             raise PolyFormatError(

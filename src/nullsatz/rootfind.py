@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import BiPoly, UniPoly
+from .polyalg import BiPoly
 
 TOL_RES = 1e-10
 MAX_SWEEPS = 200
@@ -53,8 +53,10 @@ class TrackError(RuntimeError):
 
 
 def _as_coeff_array(f) -> np.ndarray:
-    if isinstance(f, UniPoly):
-        return f.to_complex()
+    if isinstance(f, BiPoly):
+        if f.deg2 > 0:
+            raise ValueError("all_roots needs a polynomial in z1 alone")
+        return f.coeff_matrix()[:, 0]
     a = np.asarray(f, dtype=np.complex128).ravel()
     if a.size == 0:
         a = np.zeros(1, dtype=np.complex128)
@@ -268,11 +270,11 @@ class RootSet:
 def all_roots(f) -> RootSet:
     """Every complex root of f, by Aberth–Ehrlich simultaneous iteration.
 
-    f may be a UniPoly or an ascending complex coefficient array.  Requires
-    degree >= 1; a float array also needs a leading coefficient above the
-    degeneracy threshold (an exact UniPoly's is nonzero however small it is
-    next to the others).  Raises RootFindError (carrying the best iterate)
-    on non-convergence.
+    f may be a BiPoly in z1 alone (z2-degree 0) or an ascending complex
+    coefficient array.  Requires degree >= 1; a float array also needs a
+    leading coefficient above the degeneracy threshold (an exact BiPoly's
+    is nonzero however small it is next to the others).  Raises
+    RootFindError (carrying the best iterate) on non-convergence.
     """
     a = _as_coeff_array(f)
     while a.size > 1 and a[-1] == 0:
@@ -280,7 +282,7 @@ def all_roots(f) -> RootSet:
     n = a.size - 1
     if n < 1:
         raise ValueError("all_roots needs degree >= 1")
-    if not isinstance(f, UniPoly) and abs(a[-1]) <= LEAD_DEGENERACY * np.max(np.abs(a)):
+    if not isinstance(f, BiPoly) and abs(a[-1]) <= LEAD_DEGENERACY * np.max(np.abs(a)):
         raise ValueError("leading coefficient below degeneracy threshold")
     roots, res, ok = _aberth_batch(a[None, :])
     if not ok.all():
@@ -502,7 +504,7 @@ def _newton_fiber(fp: FiberPoly, z1: complex, start: np.ndarray) -> np.ndarray |
     return None
 
 
-def track(f, path, fiber0: RootSet | None = None) -> TrackedPath:
+def track(f, path, fiber0: np.ndarray | None = None) -> TrackedPath:
     """Transport the z2-root fiber of f along a path of z1 samples.
 
     f is a BiPoly or FiberPoly; path an array of complex z1 values (closed
@@ -525,8 +527,7 @@ def track(f, path, fiber0: RootSet | None = None) -> TrackedPath:
 
     cold_solves = 0
     if fiber0 is not None:
-        cur = np.asarray(fiber0.roots if isinstance(fiber0, RootSet) else fiber0,
-                         dtype=np.complex128)
+        cur = np.asarray(fiber0, dtype=np.complex128)
         if cur.size != fp.deg2:
             raise ValueError("fiber0 does not match the z2-degree")
     else:

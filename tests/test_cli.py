@@ -146,6 +146,19 @@ class TestErrorPaths:
         assert code == 64
         assert "term #0" in err
 
+    @pytest.mark.parametrize(
+        "term",
+        ['{"a": true, "b": 0, "re": "1"}', '{"a": 1, "b": 0, "re": true}'],
+        ids=["exponent", "coefficient"],
+    )
+    def test_boolean_field_is_input_error(self, capsys, tmp_path, term):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"terms": [%s]}' % term)
+        code, out, err = run(capsys, "classify", "--ideal", str(bad), "--no-certificate")
+        assert code == 64
+        assert "term #0" in err
+        assert out == ""
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "classify", "--ideal", str(tmp_path / "nope.json"),
@@ -197,6 +210,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "decompose", "--poly", path)
         assert code == 10
         assert "root solve failed" in err
+
+    def test_degenerate_base_fiber_exits_three(self, capsys, tmp_path):
+        # the leading z2-coefficient 1 is tiny next to z1^6 10^12 at every
+        # base point; the base fiber's degeneracy error used to escape
+        path = write_poly(tmp_path, "p.json", Z2**2 + Z1**6 * Z2 + 10**12)
+        code, out, _ = run(capsys, "classify", "--ideal", path, "--no-certificate")
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["overall"] == "INCONCLUSIVE"
+        assert "no usable base point" in rep["justification"]
 
     def test_env_seed_override(self, capsys, monkeypatch, tmp_path):
         path = write_poly(tmp_path, "p.json", Z2**2 - Z1)

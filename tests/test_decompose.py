@@ -401,7 +401,7 @@ class TestRowEvaluator:
 
 
 def _ref_z2_rows(g):
-    return [[complex(c) for c in u.coeffs] for u in g.z2_coeffs()]
+    return [[complex(u.coeff(a, 0)) for a in range(u.deg1 + 1)] for u in g.z2_coeffs()]
 
 
 def _ref_eval_rows(rows, x1, x2):
@@ -444,7 +444,7 @@ def _ref_solve_points(gens, exits):
     if z2free:
         exits.append("z2-free source")
         src = z2free[0]
-        candidates = _distinct_roots(src.as_unipoly_z1())
+        candidates = _distinct_roots(src)
         other = next(
             (g for g in gens if g.deg2 >= 1),
             next(g for g in gens if g is not src),
@@ -458,7 +458,7 @@ def _ref_solve_points(gens, exits):
                 res = resultant_z2(gens[i], gens[j])
                 if not res.is_zero:
                     pair = (gens[i], gens[j])
-                    if res.degree >= 1:
+                    if res.deg1 >= 1:
                         candidates = _distinct_roots(res)
                     break
             if pair is not None:

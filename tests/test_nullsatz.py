@@ -603,6 +603,14 @@ class TestClassify:
         assert v.overall == INCONCLUSIVE
         assert "decomposition failed" in v.justification
 
+    def test_degenerate_base_fiber_is_inconclusive(self):
+        # at every base point the leading z2-coefficient 1 falls below the
+        # degeneracy threshold next to z1^6 10^12; the base fiber's float
+        # ValueError used to escape the base-point retry
+        v = classify([Z2**2 + Z1**6 * Z2 + 10**12], BALL)
+        assert v.overall == INCONCLUSIVE
+        assert "no usable base point" in v.justification
+
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             classify([], BALL)
@@ -687,7 +695,7 @@ class TestClassify:
     def test_root_find_failure_becomes_inconclusive(self, f):
         # Aberth fails on the degree-30 and degree-42 discriminants of these
         # DENSE curves; the degree-7 one spans more than 1e12 in coefficient
-        # magnitude, which an exact UniPoly may do
+        # magnitude, which an exact polynomial in z1 alone may do
         v = classify([f], BALL, with_certificate=False)
         assert v.overall in (DENSE, INCONCLUSIVE)
         if v.overall == INCONCLUSIVE:

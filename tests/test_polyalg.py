@@ -18,7 +18,6 @@ from nullsatz.polyalg import (
     ExactDivisionError,
     GaussRational,
     PolyFormatError,
-    UniPoly,
     ZeroPolynomialError,
     divides,
     exact_div,
@@ -30,7 +29,6 @@ from nullsatz.polyalg import (
     poly_to_json,
     resultant_z2,
     squarefree,
-    unipoly_gcd,
 )
 from nullsatz.polyalg import _zdiv, _zmul
 
@@ -154,71 +152,64 @@ class TestGaussRational:
 
 
 # ---------------------------------------------------------------------------
-# UniPoly
+# polynomials in z1 alone: BiPolys of z2-degree 0
 # ---------------------------------------------------------------------------
 
 
+def z1poly(coeffs) -> BiPoly:
+    """The polynomial in z1 alone with ascending coefficients coeffs."""
+    return BiPoly({(a, 0): c for a, c in enumerate(coeffs)})
+
+
 class TestUniPoly:
-    def test_divmod_invariant(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            a = UniPoly([random_gauss(rng) for _ in range(rng.randint(0, 6))])
-            b = UniPoly([random_gauss(rng) for _ in range(rng.randint(1, 4))])
-            if b.is_zero:
-                continue
-            q, r = a.divmod(b)
-            assert q * b + r == a
-            assert r.is_zero or r.degree < b.degree
+    """Polynomials in z1 alone are BiPolys of z2-degree 0."""
 
     def test_gcd_known(self):
         # (x-1)(x-2) and (x-1)(x-3) share x-1
-        p = UniPoly([2, -3, 1])
-        q = UniPoly([3, -4, 1])
-        g = unipoly_gcd(p, q)
-        assert g == UniPoly([-1, 1])
+        p = z1poly([2, -3, 1])
+        q = z1poly([3, -4, 1])
+        g = gcd2(p, q)
+        assert g == z1poly([-1, 1]) and g.deg2 == 0
         # degree 13 and 12 with a planted degree-4 common factor: a long
         # remainder sequence with growing coefficients; sympy gives the
         # expected gcd
         rng = random.Random(29)
         h, a, b = (
-            UniPoly([random_gauss(rng) for _ in range(n)] + [GaussRational(1)])
+            z1poly([random_gauss(rng) for _ in range(n)] + [GaussRational(1)])
             for n in (4, 9, 8)
         )
         f, g = h * a, h * b
-        assert f.degree >= 12 and g.degree >= 12
-        theirs = sp.gcd(
-            to_sympy(BiPoly.from_unipoly_z1(f)),
-            to_sympy(BiPoly.from_unipoly_z1(g)),
-            gaussian=True,
-        )
-        expected = from_sympy(theirs).as_unipoly_z1().monic()
-        assert expected.degree >= 4
-        assert unipoly_gcd(f, g) == expected
+        assert f.deg1 >= 12 and g.deg1 >= 12
+        theirs = sp.gcd(to_sympy(f), to_sympy(g), gaussian=True)
+        expected = lex_monic(from_sympy(theirs))
+        assert expected.deg1 >= 4
+        assert gcd2(f, g) == expected
 
     def test_gcd_of_coprime_is_one(self):
-        p = UniPoly([1, 0, 1])  # x^2+1
-        q = UniPoly([-2, 1])  # x-2
-        assert unipoly_gcd(p, q) == UniPoly([1])
+        p = z1poly([1, 0, 1])  # x^2+1
+        q = z1poly([-2, 1])  # x-2
+        assert gcd2(p, q) == BiPoly.constant(1)
 
     def test_eval_matches_numpy(self):
         import numpy as np
 
         rng = random.Random(7)
-        u = UniPoly([random_gauss(rng) for _ in range(5)])
+        u = z1poly([random_gauss(rng) for _ in range(5)])
         x = 0.3 - 0.7j
-        expected = np.polyval(u.to_complex()[::-1], x)
-        assert abs(u.eval(x) - expected) < 1e-12
+        expected = np.polyval(u.coeff_matrix()[::-1, 0], x)
+        assert abs(u.eval(x, 0) - expected) < 1e-12
 
     def test_deriv(self):
-        u = UniPoly([1, 2, 3])  # 1 + 2x + 3x^2
-        assert u.deriv() == UniPoly([2, 6])
+        u = z1poly([1, 2, 3])  # 1 + 2x + 3x^2
+        assert u.deriv(1) == z1poly([2, 6])
+        assert u.deriv(2).is_zero
 
     def test_deriv_equals_coefficient_times_power(self):
         rng = random.Random(19)
         for n in range(12):
-            u = UniPoly([random_gauss(rng) for _ in range(n)])
-            want = UniPoly([c * k for k, c in enumerate(u.coeffs)][1:])
-            assert u.deriv() == want
+            cs = [random_gauss(rng) for _ in range(n)]
+            want = z1poly([c * k for k, c in enumerate(cs)][1:])
+            assert z1poly(cs).deriv(1) == want
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +281,9 @@ class TestBiPoly:
         rng = random.Random(17)
         for _ in range(40):
             f = random_bipoly(rng, d1=3, d2=3)
-            assert BiPoly.from_z2_coeffs(f.z2_coeffs()) == f
+            cs = f.z2_coeffs()
+            assert all(u.deg2 <= 0 for u in cs)
+            assert sum((u * Z2**b for b, u in enumerate(cs)), BiPoly.zero()) == f
 
     def test_coeff_matrix(self):
         f = 2 * Z1 * Z2 - 3
@@ -524,16 +517,16 @@ class TestSquarefree:
 class TestResultantZ2:
     def test_parabola_and_shift(self):
         r = resultant_z2(Z2**2 - Z1, Z2 + 2)
-        assert r == UniPoly([4, -1])  # 4 - z1
+        assert r == z1poly([4, -1])  # 4 - z1
 
     def test_crossing_lines(self):
         r = resultant_z2(Z2 - Z1, Z2 + Z1)
-        assert r == UniPoly([0, 2])  # 2*z1
+        assert r == z1poly([0, 2])  # 2*z1
 
     def test_z2_free_second_argument(self):
         # Res_{z2}(f, c(z1)) = c(z1)^{deg2 f}
         r = resultant_z2(Z2**2 - Z1, BiPoly.constant(3) + Z1)
-        assert r == UniPoly([9, 6, 1])  # (z1+3)^2
+        assert r == z1poly([9, 6, 1])  # (z1+3)^2
 
     def test_random_vs_sympy(self):
         rng = random.Random(509)
@@ -542,11 +535,11 @@ class TestResultantZ2:
             g = random_bipoly(rng, d1=1, d2=1)
             if f.deg2 < 1 or g.deg2 < 1:
                 continue
-            ours = BiPoly.from_unipoly_z1(resultant_z2(f, g))
+            ours = resultant_z2(f, g)
             assert ours == sympy_resultant_z2(f, g)
         for pair in PRS_EDGE_PAIRS:
             for f, g in (pair, pair[::-1]):
-                ours = BiPoly.from_unipoly_z1(resultant_z2(f, g))
+                ours = resultant_z2(f, g)
                 assert ours == sympy_resultant_z2(f, g)
 
     def test_multiplicative_random(self):
@@ -564,7 +557,7 @@ class TestResultantZ2:
     def test_vanishes_at_common_roots(self):
         # z2^2 = z1 and z2 = 1 meet above z1 = 1
         r = resultant_z2(Z2**2 - Z1, Z2 - 1)
-        assert r.eval(GaussRational(1)) == GaussRational(0)
+        assert r.eval(GaussRational(1), 0) == GaussRational(0)
 
     def test_rejects_two_z2_free_inputs(self):
         with pytest.raises(ValueError):
@@ -576,7 +569,7 @@ class TestResultantZ2:
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian-integer kernel behind gcd2, resultant_z2 and unipoly_gcd
+# the Gaussian-integer kernel behind gcd2 and resultant_z2
 # ---------------------------------------------------------------------------
 
 
@@ -633,14 +626,14 @@ ZI_ORACLE_PAIRS = _zi_oracle_pairs()
 
 
 class TestGaussianIntegerKernel:
-    """gcd2, resultant_z2 and unipoly_gcd clear denominators once and run the
-    PRS on Gaussian integers; sympy over QQ_I is the oracle."""
+    """gcd2 and resultant_z2 clear denominators once and run the PRS on
+    Gaussian integers; sympy over QQ_I is the oracle."""
 
     @pytest.mark.parametrize("k", range(len(ZI_ORACLE_PAIRS)))
     def test_resultant_vs_sympy(self, k):
         f, g = ZI_ORACLE_PAIRS[k]
         for a, b in ((f, g), (g, f)):
-            assert BiPoly.from_unipoly_z1(resultant_z2(a, b)) == sympy_resultant_z2(a, b)
+            assert resultant_z2(a, b) == sympy_resultant_z2(a, b)
 
     @pytest.mark.parametrize("k", range(len(ZI_ORACLE_PAIRS)))
     def test_gcd2_vs_sympy(self, k):
@@ -653,20 +646,23 @@ class TestGaussianIntegerKernel:
         assert not gcd2(f, g).is_constant
 
     def test_unipoly_gcd_vs_sympy(self):
+        # gcds in z1 alone run the PRS on the swapped pair
         rng = random.Random(1013)
         for n in range(1, 6):
-            h = UniPoly([wide_gauss(rng) for _ in range(n)] + [wide_gauss(rng)])
-            a = UniPoly([wide_gauss(rng) for _ in range(6 - n)] + [GaussRational(1)])
-            b = UniPoly([wide_gauss(rng) for _ in range(5)] + [GaussRational(3, 1)])
+            h = z1poly([wide_gauss(rng) for _ in range(n)] + [wide_gauss(rng)])
+            a = z1poly([wide_gauss(rng) for _ in range(6 - n)] + [GaussRational(1)])
+            b = z1poly([wide_gauss(rng) for _ in range(5)] + [GaussRational(3, 1)])
             for f, g in ((h * a, h * b), (a, b), (h * a, b)):
-                expected = qq_i_gcd(BiPoly.from_unipoly_z1(f), BiPoly.from_unipoly_z1(g))
-                assert unipoly_gcd(f, g) == unipoly_gcd(g, f) == expected.as_unipoly_z1()
+                expected = qq_i_gcd(f, g)
+                assert gcd2(f, g) == gcd2(g, f) == expected
+                assert expected.deg2 <= 0
 
     def test_unipoly_gcd_zero_and_constant_arguments(self):
-        u = UniPoly([GaussRational(Fraction(1, 3)), GaussRational(0, 2)])
-        assert unipoly_gcd(u, UniPoly()) == unipoly_gcd(UniPoly(), u) == u.monic()
-        assert unipoly_gcd(UniPoly(), UniPoly()).is_zero
-        assert unipoly_gcd(u, UniPoly([GaussRational(5)])) == UniPoly([1])
+        u = z1poly([GaussRational(Fraction(1, 3)), GaussRational(0, 2)])
+        assert gcd2(u, BiPoly.zero()) == gcd2(BiPoly.zero(), u) == lex_monic(u)
+        with pytest.raises(ZeroPolynomialError):
+            gcd2(BiPoly.zero(), BiPoly.zero())
+        assert gcd2(u, BiPoly.constant(5)) == BiPoly.constant(1)
 
     def test_resultant_scales_by_degree_powers(self):
         c = GaussRational(Fraction(3, 7), Fraction(-1, 9999))
@@ -746,6 +742,21 @@ class TestJsonFormat:
     def test_float_coefficients_rejected(self):
         with pytest.raises(PolyFormatError, match="term #0"):
             poly_from_json({"terms": [{"a": 0, "b": 0, "re": 0.1}]})
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"a": True, "b": 0, "re": "1"},
+            {"a": 0, "b": False, "re": "1"},
+            {"a": 1, "b": 0, "re": True},
+            {"a": 1, "b": 0, "re": "1", "im": False},
+        ],
+        ids=["a", "b", "re", "im"],
+    )
+    def test_boolean_fields_rejected(self, term):
+        # JSON true/false load as bool, an int subclass: true used to parse as 1
+        with pytest.raises(PolyFormatError, match="term #0"):
+            poly_from_json({"terms": [term]})
 
     def test_missing_exponent_named(self):
         with pytest.raises(PolyFormatError, match="term #1"):

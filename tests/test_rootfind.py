@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from nullsatz import rootfind
 from nullsatz.bergman import DomainSpec, eval_grid
 from nullsatz.nullsatz import classify
-from nullsatz.polyalg import BiPoly, GaussRational, UniPoly
+from nullsatz.polyalg import BiPoly, GaussRational
 from nullsatz.rootfind import (
     MAX_SWEEPS,
     SEPARATION_FACTOR,
@@ -66,8 +66,18 @@ def assert_same_multiset(a, b, tol=1e-8):
 
 class TestAllRoots:
     def test_quadratic_pm_i(self):
-        rs = all_roots(UniPoly([1, 0, 1]))
+        rs = all_roots(Z1**2 + 1)
         assert_same_multiset(rs.roots, [1j, -1j], tol=1e-12)
+
+    def test_exact_input_skips_the_degeneracy_test(self):
+        # 10^-13 z^2 + z - 1: exact, its tiny leading coefficient still counts
+        tiny = GaussRational(Fraction(1, 10**13))
+        rs = all_roots(tiny * Z1**2 + Z1 - 1)
+        assert rs.degree == 2
+        with pytest.raises(ValueError, match="degeneracy"):
+            all_roots(np.array([-1.0, 1.0, 1e-13]))
+        with pytest.raises(ValueError, match="z1 alone"):
+            all_roots(Z2**2 - Z1)
 
     def test_fiber_of_parabola_at_four(self):
         f = Z2**2 - Z1
@@ -318,10 +328,10 @@ class TestAberthBatch:
 
     def test_overflow_is_silent(self):
         # z^8 + 10^30 z + 1 overflows inside the sweeps and the polish
-        exact = UniPoly([1, 10**30] + [0] * 6 + [1])
+        exact = Z1**8 + 10**30 * Z1 + 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, ok = _aberth_batch(exact.to_complex()[None, :])
+            _, _, ok = _aberth_batch(exact.coeff_matrix().T)
             with pytest.raises(RootFindError):
                 all_roots(exact)
         assert not ok.all()
@@ -515,10 +525,10 @@ class TestTrack:
 
     def test_fiber0_roundtrip(self):
         fp = FiberPoly(Z2**2 - Z1)
-        start = all_roots(fp.coeffs_at(0.3 + 0j))
+        start = all_roots(fp.coeffs_at(0.3 + 0j)).as_array()
         path = circle_samples(0.0, 0.3, 64)
         tp = track(fp, path, fiber0=start)
-        assert np.allclose(tp.start, start.as_array())
+        assert np.allclose(tp.start, start)
 
 
 class TestNearestPairing:
