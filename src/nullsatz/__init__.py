@@ -23,7 +23,6 @@ from .polyalg import (  # noqa: F401
 from .rootfind import (  # noqa: F401
     FiberPoly,
     RootFindError,
-    RootSet,
     TrackError,
     all_roots,
     solve_fibers,

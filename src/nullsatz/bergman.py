@@ -6,12 +6,12 @@ Hilbert-space side reduces to the squared monomial norms
     nu_ab = (2 pi)^2 / (p q) * Gamma(alpha) Gamma(beta) / Gamma(alpha+beta+1),
     alpha = (2a+2)/p,  beta = (2b+2)/q,
 
-computed in log space.  On top of the norm table sit inner products, the
-reproducing-kernel diagonal, least-squares projection distances
-d_N = dist(1, p * P_N) (the whole profile d_0..d_N_max from one Householder
-QR, since the systems are nested), the dilation family p(z)/p(rz) with its
-2^d ratio bound, and the density certificate that packages the observables
-(its dilation norms ||1 - p/p_r|| summed from Taylor coefficients of p/p_r).
+computed in log space.  On top of the norm table sit the reproducing-kernel
+diagonal, least-squares projection distances d_N = dist(1, p * P_N) (the
+whole profile d_0..d_N_max from one Householder QR, since the systems are
+nested), the dilation family p(z)/p(rz) with its 2^d ratio bound, and the
+density certificate that packages the observables (its dilation norms
+||1 - p/p_r|| summed from Taylor coefficients of p/p_r).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ RANK_RCOND = 1e-12
 BOUNDARY_FRACTION = 0.25
 CORNER_PHASES = 128
 MAX_SHELLS = 200_000
+KERNEL_TOL = 1e-12
 # the stopping rules of the dilation norms' shell sums (_dilation_norms)
 SHELL_CAP = 400
 TAIL_TOL = 1e-15
@@ -50,7 +51,7 @@ class DomainError(ValueError):
 
 
 class MissingNormError(KeyError):
-    """An inner product touched an exponent the norm table does not cover."""
+    """A norm lookup touched an exponent the norm table does not cover."""
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -77,10 +78,6 @@ class DomainSpec:
         for name, v in (("p", self.p), ("q", self.q)):
             if not 0 < v < math.inf:
                 raise DomainError(f"domain exponent {name} must be in (0, inf), got {v}")
-
-    @property
-    def is_ball(self) -> bool:
-        return self.p == 2.0 and self.q == 2.0
 
     @classmethod
     def ball(cls) -> "DomainSpec":
@@ -112,13 +109,6 @@ class DomainSpec:
         power in the last bit on some inputs.
         """
         return np.fromiter((a ** self.p for a in np.abs(z1s)), np.float64, len(z1s))
-
-    def phi_rows(self, z1s, z2s):
-        """phi(z1s[k], z2s[k]) for each row k of a (B, m) array of z2 values.
-
-        Rounds as phi does for one scalar z1 (|z1|^p from z1_terms).
-        """
-        return self.z1_terms(z1s).reshape(-1, 1) + np.abs(z2s) ** self.q
 
     def contains(self, z1, z2):
         return self.phi(z1, z2) < 1.0
@@ -184,32 +174,13 @@ class MonomialNormTable:
                 f"exponent ({a}, {b})"
             ) from None
 
-    def covers(self, f: BiPoly) -> bool:
-        return all(a + b <= self.max_total_degree for a, b in f.terms)
 
-
-def inner(f: BiPoly, g: BiPoly, table: MonomialNormTable) -> complex:
-    """Bergman inner product <f, g>; monomial orthogonality makes it a sum."""
-    acc = 0j
-    small, big = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    for (a, b) in small.terms:
-        cf = f.coeff(a, b)
-        cg = g.coeff(a, b)
-        if cf.is_zero or cg.is_zero:
-            continue
-        acc += complex(cf) * complex(cg).conjugate() * table.norm(a, b)
-    return acc
-
-
-def norm_sq(f: BiPoly, table: MonomialNormTable) -> float:
-    return inner(f, f, table).real
-
-
-def kernel_diag(domain: DomainSpec, w: tuple[complex, complex], tol: float = 1e-12) -> float:
+def kernel_diag(domain: DomainSpec, w: tuple[complex, complex]) -> float:
     """Reproducing-kernel diagonal K(w, w) = sum |w1|^2a |w2|^2b / nu_ab.
 
     Summed by total-degree shells until two consecutive shells each add less
-    than tol times the partial sum.  Requires w strictly inside the domain.
+    than KERNEL_TOL times the partial sum.  Requires w strictly inside the
+    domain.
     """
     w1, w2 = complex(w[0]), complex(w[1])
     gauge = domain.phi(w1, w2)
@@ -242,7 +213,7 @@ def kernel_diag(domain: DomainSpec, w: tuple[complex, complex], tol: float = 1e-
                 logt = logt + 2.0 * b * l2
             shell = float(np.exp(logt).sum())
         total += shell
-        if s >= 1 and shell < tol * total:
+        if s >= 1 and shell < KERNEL_TOL * total:
             quiet += 1
             if quiet >= 2:
                 return total

@@ -36,7 +36,6 @@ from .rootfind import (
     _fiber_at,
     _horner2,
     _nearest_pairing,
-    _UnionFind,
     all_roots,
     circle_samples,
     loop_samples,
@@ -47,7 +46,6 @@ from .rootfind import (
 
 TOL_POINT = 1e-8
 TOL_WITNESS = 1e-8
-CLEARANCE = 0.05
 MAX_BASE_ATTEMPTS = 12
 POINT_CLUSTER = 1e-7
 NEWTON_ITERS = 30
@@ -142,19 +140,20 @@ def _distinct_roots(u: BiPoly) -> list[complex]:
 
     Multiple roots (discriminants and resultants are full of them) scatter
     numerically as tol**(1/multiplicity); dividing out gcd(u, u') first
-    keeps every root simple and accurate.  A root solve that does not
-    converge raises DecomposeError.
+    keeps every root simple and accurate.  A root within POINT_CLUSTER of
+    an earlier one is dropped.  A root solve that does not converge raises
+    DecomposeError.
     """
     if u.deg1 >= 2:
         g = gcd2(u, u.deriv(1))
         if g.deg1 >= 1:
             u = exact_div(u, g)
     try:
-        rs = all_roots(u)
+        roots = all_roots(u)
     except RootFindError as exc:
         raise DecomposeError(f"root solve failed: {exc}") from exc
     out: list[complex] = []
-    for r in rs.roots:
+    for r in roots:
         if all(abs(r - o) > POINT_CLUSTER for o in out):
             out.append(r)
     return out
@@ -206,6 +205,28 @@ def _branch_candidates(pp: BiPoly) -> list[complex]:
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def groups(self) -> list[tuple[int, ...]]:
+        out: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return [tuple(sorted(v)) for _, v in sorted(out.items())]
+
+
 def _pick_base(branch: list[complex], rng: np.random.Generator) -> complex:
     reach = max([1.0] + [abs(b) for b in branch])
     radius = 2.0 * reach * (1.0 + 0.25 * rng.random())
@@ -245,8 +266,6 @@ def _monodromy_components(
     last_err: Exception | None = None
     for _ in range(MAX_BASE_ATTEMPTS):
         base = _pick_base(branch, rng)
-        if any(abs(base - b) < CLEARANCE * pair_min for b in branch):
-            continue
         try:
             fiber0 = _fiber_at(fp, base)
             uf = _UnionFind(m)
@@ -484,8 +503,9 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     Candidate z1 values come from a z2-free generator when one exists,
     otherwise from the first nonzero pair resultant; z2 values from the
     univariate slices above each candidate; Newton refinement on the chosen
-    pair, every candidate at once; acceptance requires every generator
-    residual below TOL_POINT.
+    pair, every candidate at once; acceptance requires each generator's
+    residual below TOL_POINT times its coefficient scale (1 + its largest
+    coefficient modulus), so scaling a generator does not move the test.
     """
     if any(g.is_constant for g in gens):
         return []  # a unit lies in the system: no common zeros
@@ -556,10 +576,11 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     system = _row_stack([gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2)])
     points, resids = _refine_points(system, _row_stack(gens), starts)
 
+    limits = [TOL_POINT * _coeff_scale(g) for g in gens]
     accepted: list[IsolatedPoint] = []
     for zt, resid in zip(points.tolist(), resids.T.tolist()):
         zt, resid = tuple(zt), tuple(resid)
-        if max(resid) < TOL_POINT:
+        if all(r < lim for r, lim in zip(resid, limits)):
             if all(
                 max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
                 > POINT_CLUSTER

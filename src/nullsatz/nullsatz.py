@@ -27,6 +27,7 @@ from .decompose import (
     DecomposeError,
     IsolatedPoint,
     VarietyDecomposition,
+    _coeff_scale,
     decompose_ideal,
 )
 from .polyalg import BiPoly, content_pp_z2
@@ -181,10 +182,10 @@ def _grid_terms(pitch: float, domain: DomainSpec) -> np.ndarray:
 def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: np.ndarray):
     """Min gauge value over the component's sheets above each z1 sample.
 
-    terms holds domain.z1_terms(z1s), so each gauge rounds as domain.phi_rows
-    does.  Returns (best_phi, best), best = (z1, z2) at the smallest gauge
-    over all converged sheets; ties go to the first sample, then the first
-    sheet.  (inf, None) when no sheet converged.
+    terms holds domain.z1_terms(z1s), so each gauge rounds as domain.phi
+    does for one scalar z1.  Returns (best_phi, best), best = (z1, z2) at
+    the smallest gauge over all converged sheets; ties go to the first
+    sample, then the first sheet.  (inf, None) when no sheet converged.
     """
     roots, conv = solve_fibers(fiber, z1s)
     sizes = np.array([r.size for r in roots], dtype=np.intp)
@@ -623,8 +624,10 @@ def classify(
             if r.verdict != INTERSECTS or r.argmin is None:
                 continue
             w1, w2 = r.argmin
-            resid = max(abs(g.eval(w1, w2)) for g in gens)
-            if resid < TOL_POINT and domain.phi(w1, w2) < 1.0 - DELTA:
+            on_zero_set = all(
+                abs(g.eval(w1, w2)) < TOL_POINT * _coeff_scale(g) for g in gens
+            )
+            if on_zero_set and domain.phi(w1, w2) < 1.0 - DELTA:
                 witness = (w1, w2)
                 break
         if witness is None:

@@ -1,7 +1,7 @@
 """Univariate root finding and root-path tracking.
 
 Two numeric workhorses live here: an Aberth–Ehrlich simultaneous iteration
-(single polynomial or vectorized batches of equal degree), and a
+on vectorized batches of equal-degree polynomials, and a
 predictor–corrector continuation that transports the root fiber of
 f(z1, z2) = 0 in z2 along a path of z1 values.  Each step first tries a warm
 corrector: a few batched Newton steps on every sheet, starting from the
@@ -19,6 +19,10 @@ have all converged is frozen, so once half of the working rows are frozen
 they are written back and retired.  Rows never interact, so every row
 comes out bit for bit as it would when solved alone.
 
+The roots of an exact polynomial in z1 alone (a discriminant, a leading
+coefficient, a content or a resultant) come from all_roots, one row of the
+same batch solver.
+
 Everything is deterministic for fixed inputs; no RNG is used.
 """
 
@@ -32,7 +36,6 @@ from .polyalg import BiPoly
 
 TOL_RES = 1e-10
 MAX_SWEEPS = 200
-CLUSTER_RADIUS = 1e-7
 LEAD_DEGENERACY = 1e-12
 SEPARATION_FACTOR = 0.5
 MAX_BISECTIONS = 48
@@ -40,27 +43,11 @@ NEWTON_STEPS = 4
 
 
 class RootFindError(RuntimeError):
-    """Aberth iteration failed to converge; carries the best iterate."""
-
-    def __init__(self, msg: str, best: np.ndarray, residuals: np.ndarray):
-        super().__init__(msg)
-        self.best = best
-        self.residuals = residuals
+    """Aberth iteration failed to converge."""
 
 
 class TrackError(RuntimeError):
     """Root continuation could not maintain an unambiguous pairing."""
-
-
-def _as_coeff_array(f) -> np.ndarray:
-    if isinstance(f, BiPoly):
-        if f.deg2 > 0:
-            raise ValueError("all_roots needs a polynomial in z1 alone")
-        return f.coeff_matrix()[:, 0]
-    a = np.asarray(f, dtype=np.complex128).ravel()
-    if a.size == 0:
-        a = np.zeros(1, dtype=np.complex128)
-    return a
 
 
 def _horner(coeffs: np.ndarray, x) -> np.ndarray:
@@ -95,28 +82,6 @@ def _horner2(C: np.ndarray, z1, z2) -> np.ndarray:
         acc = acc * z2
         acc += _horner(C[:, b], z1)
     return acc
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def groups(self) -> list[tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]
 
 
 def _aberth_sweep(P, dP, x, done, lead, scale):
@@ -229,78 +194,29 @@ def _aberth_batch(coeffs: np.ndarray):
     return x[idx, order], residuals[idx, order], done[idx, order]
 
 
-def _cluster(roots: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Merge roots closer than CLUSTER_RADIUS (single linkage) to centroids."""
-    n = roots.size
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= CLUSTER_RADIUS:
-                uf.union(i, j)
-    out = roots.copy()
-    clusters = []
-    for members in uf.groups():
-        if len(members) > 1:
-            centroid = np.mean(roots[list(members)])
-            for m in members:
-                out[m] = centroid
-            clusters.append(members)
-    order = np.lexsort((out.imag, out.real))
-    remap = {old: new for new, old in enumerate(order)}
-    clusters = [tuple(sorted(remap[m] for m in members)) for members in clusters]
-    return out[order], sorted(clusters)
+def all_roots(u: BiPoly) -> list[complex]:
+    """Every complex root of u, a polynomial in z1 alone, by Aberth–Ehrlich.
 
-
-@dataclass(frozen=True)
-class RootSet:
-    """All roots of one univariate polynomial, with residual evidence."""
-
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    degree: int
-    clusters: tuple[tuple[int, ...], ...] = ()
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.roots, dtype=np.complex128)
-
-    def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
-
-
-def all_roots(f) -> RootSet:
-    """Every complex root of f, by Aberth–Ehrlich simultaneous iteration.
-
-    f may be a BiPoly in z1 alone (z2-degree 0) or an ascending complex
-    coefficient array.  Requires degree >= 1; a float array also needs a
-    leading coefficient above the degeneracy threshold (an exact BiPoly's
-    is nonzero however small it is next to the others).  Raises
-    RootFindError (carrying the best iterate) on non-convergence.
+    One _aberth_batch row, in its (real, imag) order.  A leading
+    coefficient that underflows to 0.0 in floats is stripped; an exact one
+    counts however small it is next to the others.  Requires degree >= 1
+    after the strip; raises RootFindError on non-convergence.
     """
-    a = _as_coeff_array(f)
+    if u.deg2 > 0:
+        raise ValueError("all_roots needs a polynomial in z1 alone")
+    a = u.coeff_matrix()[:, 0]
     while a.size > 1 and a[-1] == 0:
         a = a[:-1]
-    n = a.size - 1
-    if n < 1:
+    if a.size < 2:
         raise ValueError("all_roots needs degree >= 1")
-    if not isinstance(f, BiPoly) and abs(a[-1]) <= LEAD_DEGENERACY * np.max(np.abs(a)):
-        raise ValueError("leading coefficient below degeneracy threshold")
     roots, res, ok = _aberth_batch(a[None, :])
     if not ok.all():
         bad = ~ok[0]
         raise RootFindError(
             f"Aberth iteration left {int(bad.sum())} root(s) unconverged "
-            f"(worst residual {res[0][bad].max():.3e})",
-            roots[0],
-            res[0],
+            f"(worst residual {res[0][bad].max():.3e})"
         )
-    clustered, clusters = _cluster(roots[0])
-    resid = np.abs(_horner(a, clustered))
-    return RootSet(
-        roots=tuple(clustered.tolist()),
-        residuals=tuple(resid.tolist()),
-        degree=n,
-        clusters=tuple(clusters),
-    )
+    return roots[0].tolist()
 
 
 # ---------------------------------------------------------------------------

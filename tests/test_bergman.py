@@ -38,11 +38,9 @@ from nullsatz.bergman import (
     STATUS_UNDECIDED,
     density_certificate,
     eval_grid,
-    inner,
     kernel_diag,
     kernel_lower_bound,
     monomial_norm,
-    norm_sq,
     projection_distances,
     ratio_sup,
     sample_closure,
@@ -63,12 +61,12 @@ DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 class TestDomainSpec:
     def test_ball_alias(self):
         assert DomainSpec.parse("ball") == DomainSpec(2.0, 2.0)
-        assert DomainSpec.parse("ball").is_ball
+        assert DomainSpec.parse("ball") == DomainSpec.ball()
 
     def test_parse_pair(self):
         d = DomainSpec.parse("0.5, 3")
         assert d.p == 0.5 and d.q == 3.0
-        assert not d.is_ball
+        assert d != DomainSpec.ball()
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "1", "1,2,3", "a,b", "ball,2"):
@@ -88,11 +86,13 @@ class TestDomainSpec:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1.5])
     def test_phi_rows_rounds_like_scalar_phi(self, p):
+        # the gauge form of nullsatz._sheet_phis; the pruned scan's tie rule
+        # needs it to round as phi does for one scalar z1
         d = DomainSpec(p, 3.0)
         rng = np.random.default_rng(3)
         z1s = rng.normal(size=500) + 1j * rng.normal(size=500)
         z2s = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
-        got = d.phi_rows(z1s, z2s)
+        got = d.z1_terms(z1s)[:, None] + np.abs(z2s) ** d.q
         want = np.array([d.phi(z1, row) for z1, row in zip(z1s, z2s)])
         assert got.tobytes() == want.tobytes()
 
@@ -177,51 +177,6 @@ class TestNormTable:
         with pytest.raises(MissingNormError, match=r"\(3, 1\)"):
             t.norm(3, 1)
 
-    def test_covers(self):
-        t = MonomialNormTable(BALL, 3)
-        assert t.covers(Z1 * Z2 + 1)
-        assert not t.covers(Z1**3 * Z2)
-
-
-class TestInner:
-    def test_distinct_monomials_orthogonal(self):
-        t = MonomialNormTable(BALL, 8)
-        rng = random.Random(8)
-        for _ in range(30):
-            a, b = rng.randint(0, 4), rng.randint(0, 4)
-            c, d = rng.randint(0, 4), rng.randint(0, 4)
-            if (a, b) == (c, d):
-                continue
-            m1 = BiPoly({(a, b): GaussRational(1)})
-            m2 = BiPoly({(c, d): GaussRational(1)})
-            assert inner(m1, m2, t) == 0
-
-    def test_one_vs_z1(self):
-        t = MonomialNormTable(BALL, 2)
-        assert inner(BiPoly.constant(1), Z1, t) == 0
-
-    def test_z1_self(self):
-        t = MonomialNormTable(BALL, 2)
-        assert inner(Z1, Z1, t).real == pytest.approx(math.pi**2 / 6, rel=1e-12)
-
-    def test_bilinear_combination(self):
-        t = MonomialNormTable(BALL, 2)
-        v = inner(1 + Z1, 1 - Z1, t)
-        assert v.real == pytest.approx(math.pi**2 / 2 - math.pi**2 / 6, rel=1e-12)
-        assert v.imag == 0
-
-    def test_hermitian_symmetry(self):
-        t = MonomialNormTable(BALL, 4)
-        i = GaussRational(0, 1)
-        f = Z1 + i * Z2
-        g = 2 * Z1 * Z2 - i
-        assert inner(f, g, t) == pytest.approx(inner(g, f, t).conjugate())
-
-    def test_norm_sq_positive(self):
-        t = MonomialNormTable(BALL, 4)
-        f = Z1 - 2 * Z2 + 1
-        assert norm_sq(f, t) > 0
-
 
 class TestKernelDiag:
     def test_origin_ball(self):
@@ -239,9 +194,17 @@ class TestKernelDiag:
         assert kernel_diag(BALL, (0.6, 0)) > kernel_diag(BALL, (0.5, 0))
 
     def test_truncation_stability(self):
-        loose = kernel_diag(SIMPLEX, (0.4, 0.3j), tol=1e-8)
-        tight = kernel_diag(SIMPLEX, (0.4, 0.3j), tol=1e-14)
-        assert loose == pytest.approx(tight, rel=1e-6)
+        # the stopping rule against 400 full shells summed in log space
+        r1, r2 = 0.4, 0.3
+        total = 0.0
+        for s in range(400):
+            for a in range(s + 1):
+                b = s - a
+                alpha, beta = 2.0 * a + 2.0, 2.0 * b + 2.0  # p = q = 1
+                log_nu = (2.0 * math.log(2.0 * math.pi) + math.lgamma(alpha)
+                          + math.lgamma(beta) - math.lgamma(alpha + beta + 1.0))
+                total += math.exp(2 * a * math.log(r1) + 2 * b * math.log(r2) - log_nu)
+        assert kernel_diag(SIMPLEX, (0.4, 0.3j)) == pytest.approx(total, rel=1e-9)
 
     def test_rejects_boundary_and_outside(self):
         with pytest.raises(DomainError):

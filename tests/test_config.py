@@ -13,7 +13,7 @@ from nullsatz.config import ENV_SEED, RunConfig
 class TestValidation:
     def test_defaults_valid(self):
         cfg = RunConfig()
-        assert cfg.domain.is_ball
+        assert cfg.domain == DomainSpec.ball()
         assert cfg.seed == 0
 
     def test_rejects_nonpositive_tolerance(self):

@@ -18,6 +18,7 @@ from nullsatz.decompose import (
     CurveComponent,
     DecomposeError,
     IsolatedPoint,
+    _UnionFind,
     _distinct_roots,
     _eval_stack,
     _row_stack,
@@ -27,7 +28,7 @@ from nullsatz.decompose import (
 )
 from nullsatz.nullsatz import classify
 from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2, resultant_z2
-from nullsatz.rootfind import FiberPoly, _horner, _UnionFind, solve_fibers
+from nullsatz.rootfind import FiberPoly, _horner, solve_fibers
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -471,6 +472,9 @@ def _ref_solve_points(gens, exits):
         for g in (gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2))
     ]
     gen_rows = [_ref_z2_rows(g) for g in gens]
+    # each generator's residual bound scales with its largest coefficient
+    limits = [TOL_POINT * (1.0 + max(abs(complex(c)) for c in g.terms.values()))
+              for g in gens]
     accepted = []
     for alpha in candidates:
         beta_cands = None
@@ -487,7 +491,7 @@ def _ref_solve_points(gens, exits):
         for beta in beta_cands:
             zt = _ref_newton_refine(system, (alpha, beta), exits)
             resid = tuple(abs(_ref_eval_rows(rows, *zt)) for rows in gen_rows)
-            if max(resid) < TOL_POINT:
+            if all(r < lim for r, lim in zip(resid, limits)):
                 if all(
                     max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
                     > POINT_CLUSTER

@@ -203,3 +203,22 @@ def test_classify_is_free_of_the_generating_set(ideal, tag):
     want = _summary(gens, DOMAINS[tag])
     for name, other in _rewrites(gens).items():
         assert _summary(other, DOMAINS[tag]) == want, name
+
+
+# ideals whose point and witness tests read generator residuals: four
+# interior points, and a circle whose CLOSED witness is checked on it
+SCALED_IDEALS = {
+    "four_points": [Z1**2 - Fraction(1, 9), Z2**2 - Fraction(1, 16)],
+    "circle": [Z1**2 + Z2**2 - Fraction(1, 4)],
+}
+
+
+@pytest.mark.parametrize("ideal", [*sorted(SCALED_IDEALS), "twolines", "mixed_ideal"])
+def test_classify_is_free_of_a_power_of_ten(ideal):
+    gens = SCALED_IDEALS.get(ideal) or load_ideal(str(DATA / f"{ideal}.json"))
+    ball = DOMAINS["ball"]
+    want = classify(gens, ball, with_certificate=False)
+    for k in (-12, -6, 0, 6, 10, 12):
+        c = GaussRational(Fraction(10) ** k)
+        got = classify([g * c for g in gens], ball, with_certificate=False)
+        assert (got.overall, len(got.results)) == (want.overall, len(want.results)), k
