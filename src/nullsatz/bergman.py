@@ -252,8 +252,9 @@ def projection_distances(p: BiPoly, N_max: int, table: MonomialNormTable) -> lis
     if N_max < 0:
         raise ValueError("N must be >= 0")
     ca, cb = np.array([(c, s - c) for s in range(N_max + 1) for c in range(s + 1)]).T
-    exps = np.array(list(p.terms))
-    coefs = np.array([complex(c) for c in p.terms.values()])
+    terms = p.complex_terms()
+    exps = np.array([(a, b) for a, b, _ in terms])
+    coefs = np.array([c for _, _, c in terms])
 
     width = p.deg2 + N_max + 1
     keys = (exps[:, :1] + ca) * width + (exps[:, 1:] + cb)  # row key of term * z^c
@@ -557,8 +558,9 @@ def _dilation_norms(p: BiPoly, domain: DomainSpec, r_grid: tuple[float, ...]) ->
     tending to 0), and nan if neither happens within SHELL_CAP shells.
     """
     r = np.asarray(r_grid, dtype=np.float64)
-    ma, mb = (min(e[i] for e in p.terms) for i in (0, 1))
-    q = {(a - ma, b - mb): complex(c) for (a, b), c in p.terms.items()}
+    terms = p.complex_terms()
+    ma, mb = (min(t[i] for t in terms) for i in (0, 1))
+    q = {(a - ma, b - mb): c for a, b, c in terms}
     if (0, 0) not in q:
         return [math.nan] * r.size
     total = (1.0 - r ** -(ma + mb)) ** 2 * volume(domain)  # shell 0 of 1 - h
@@ -634,7 +636,7 @@ def density_certificate(
         if not domain.contains(w1, w2):
             raise DomainError("zero witness must lie strictly inside the domain")
         pw = eval_grid(p, np.array([w1]), np.array([w2]))[0]
-        if abs(pw) > 1e-6 * (1.0 + max(abs(complex(c)) for c in p.terms.values())):
+        if abs(pw) > 1e-6 * p.coeff_scale():
             raise ValueError(
                 f"claimed zero witness is not a zero: |p(w)| = {abs(pw):.3g}"
             )

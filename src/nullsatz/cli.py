@@ -57,7 +57,7 @@ def _config_from_args(args) -> RunConfig:
             raise PolyFormatError(
                 f"--r-grid needs comma-separated floats, got {r_grid!r}"
             ) from None
-    return RunConfig(**kwargs).with_env_seed()
+    return RunConfig(**kwargs)
 
 
 def cmd_classify(args) -> int:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bergman import N_MAX, R_GRID_DEFAULT, RATIO_SAMPLES, DomainSpec
 from .bergman import check_r_grid
 from .hopf import ALPHA_GRID
 from .nullsatz import GRID_PITCH
-
-ENV_SEED = "NULLSATZ_SEED"
 
 
 @dataclass(frozen=True)
@@ -43,16 +40,6 @@ class RunConfig:
         if not isinstance(self.domain, DomainSpec):
             raise ValueError("domain must be a DomainSpec")
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
-
-    def with_env_seed(self) -> "RunConfig":
-        """NULLSATZ_SEED in the environment wins over the configured seed."""
-        raw = os.environ.get(ENV_SEED)
-        if raw is None:
-            return self
-        try:
-            return replace(self, seed=int(raw))
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
     def to_json_dict(self) -> dict:
         return {

@@ -159,10 +159,6 @@ def _distinct_roots(u: BiPoly) -> list[complex]:
     return out
 
 
-def _coeff_scale(f: BiPoly) -> float:
-    return 1.0 + max((abs(complex(c)) for c in f.terms.values()), default=0.0)
-
-
 def _vertical_components(parent: BiPoly, cont: BiPoly) -> list[CurveComponent]:
     """One component per root of the z1-content: the lines z1 = c."""
     comps = []
@@ -312,7 +308,7 @@ def _build_components(
     node; each node's fiber comes from one cold batched solve, matched to
     the tracked sheets.
     """
-    scale = _coeff_scale(parent)
+    scale = parent.coeff_scale()
     for r in fiber0:
         resid = abs(parent.eval(complex(base), complex(r)))
         if resid > TOL_WITNESS * scale * (1.0 + abs(base)) ** parent.deg1:
@@ -576,7 +572,7 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     system = _row_stack([gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2)])
     points, resids = _refine_points(system, _row_stack(gens), starts)
 
-    limits = [TOL_POINT * _coeff_scale(g) for g in gens]
+    limits = [TOL_POINT * g.coeff_scale() for g in gens]
     accepted: list[IsolatedPoint] = []
     for zt, resid in zip(points.tolist(), resids.T.tolist()):
         zt, resid = tuple(zt), tuple(resid)
@@ -630,7 +626,7 @@ def decompose_ideal(generators: list[BiPoly], seed: int = 0) -> VarietyDecomposi
             # the cofactors of the gcd are coprime, so no second gcd is needed
             points = _solve_points(residual)
             if not g.is_constant:
-                gscale = _coeff_scale(g)
+                gscale = g.coeff_scale()
                 points = [
                     pt
                     for pt in points

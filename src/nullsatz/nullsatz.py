@@ -27,7 +27,6 @@ from .decompose import (
     DecomposeError,
     IsolatedPoint,
     VarietyDecomposition,
-    _coeff_scale,
     decompose_ideal,
 )
 from .polyalg import BiPoly, content_pp_z2
@@ -625,7 +624,7 @@ def classify(
                 continue
             w1, w2 = r.argmin
             on_zero_set = all(
-                abs(g.eval(w1, w2)) < TOL_POINT * _coeff_scale(g) for g in gens
+                abs(g.eval(w1, w2)) < TOL_POINT * g.coeff_scale() for g in gens
             )
             if on_zero_set and domain.phi(w1, w2) < 1.0 - DELTA:
                 witness = (w1, w2)

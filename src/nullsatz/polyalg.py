@@ -1,31 +1,40 @@
 """Exact bivariate polynomial arithmetic over the Gaussian rationals.
 
-Polynomials in z1, z2 carry coefficients in Q(i), stored as pairs of
-``fractions.Fraction``.  There is one exact polynomial type, ``BiPoly``; a
-polynomial in z1 alone (a z2-content, a z2-coefficient, a resultant) is a
-``BiPoly`` of z2-degree 0.  All structural algebra (gcd, square-free
-splitting, resultants) happens exactly here; floating point enters only
-when a polynomial is exported through :meth:`BiPoly.coeff_matrix` for the
-numeric stages.
+Polynomials in z1, z2 carry coefficients in Q(i).  There is one exact
+polynomial type, ``BiPoly``; a polynomial in z1 alone (a z2-content, a
+z2-coefficient, a resultant) is a ``BiPoly`` of z2-degree 0.  All structural
+algebra (gcd, square-free splitting, resultants) happens exactly here;
+floating point enters only when a polynomial is exported through
+:meth:`BiPoly.coeff_matrix`, :meth:`BiPoly.complex_terms` or a float
+:meth:`BiPoly.eval` for the numeric stages.
+
+A ``BiPoly`` is stored in the one format its algebra runs on: F / d for a
+positive int d and F in (Z[i][z1])[z2], with d and the integers of F sharing
+no factor, so equal polynomials are stored alike.  A Gaussian integer is an
+(re, im) pair of Python ints, a polynomial in Z[i][z1] is an ascending list
+of them with no trailing zero (the empty list is 0), and F is an ascending
+z2-list of those with no trailing empty list.  ``GaussRational`` (a pair of
+``fractions.Fraction``) is the scalar type at the edges only: parsing,
+``coeff``, exact ``eval`` and the read-only ``terms`` view.
 
 Conventions:
 
-* term maps never store zero coefficients,
+* ``terms`` and ``complex_terms`` list the nonzero terms in ascending (a, b)
+  order however the polynomial was built, so float sums over them do not
+  depend on how an input was written,
 * gcds and square-free factors are normalized so the coefficient of the
   lexicographic leading term (ordered by z2-degree, then z1-degree) is 1,
 * the Sylvester resultant is taken with respect to z2 and returned as an
   exact polynomial in z1 alone.
 
 Gcds and z2-resultants both come from one subresultant pseudo-remainder
-sequence (Collins 1967; Brown & Traub 1971): the gcd from its last nonzero
-element, the resultant from its end.  A gcd of two polynomials in z1 alone
-runs the same sequence on their swaps, whose z2-coefficients are constants.
-The sequence runs on Gaussian integers: gcd2 and resultant_z2 multiply each
-argument by the lcm of its coefficient denominators once, run it in
-(Z[i][z1])[z2] on pairs of Python ints, and convert the one element they
-need back to Q(i).  ``GaussRational`` and ``BiPoly`` store ``Fraction``
-pairs, and everything else (exact division, contents, evaluation) runs on
-them.
+sequence (Collins 1967; Brown & Traub 1971) run on the stored numerators:
+the gcd from its last nonzero element, the resultant from its end.  A gcd of
+two polynomials in z1 alone runs the same sequence on their swaps, whose
+z2-coefficients are constants.  Exact division divides m F by G row by row,
+where m is the least positive int multiple of G's lex-leading Gaussian
+integer: by Gauss's lemma over Z[i] that quotient is integral when G
+divides F.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,9 +59,6 @@ class ZeroPolynomialError(ValueError):
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
-
-
-_RatLike = "int | Fraction | str"
 
 
 def _to_fraction(x) -> Fraction:
@@ -181,22 +189,44 @@ GR_ONE = GaussRational(1)
 
 
 class BiPoly:
-    """Bivariate polynomial over Q(i), stored as {(a, b): coeff} with no zeros."""
+    """Bivariate polynomial over Q(i), stored as F / d (see the module docstring)."""
 
-    # _complex is filled on first use by complex_terms
-    __slots__ = ("terms", "_complex")
+    # _terms and _complex are filled on first use by terms and complex_terms
+    __slots__ = ("_rows", "_den", "_terms", "_complex")
 
     def __init__(self, terms: Mapping[tuple[int, int], GaussRational] | None = None):
-        clean = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if not isinstance(c, GaussRational):
-                    c = GaussRational(c)
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent ({a},{b})")
-                if not c.is_zero:
-                    clean[(int(a), int(b))] = c
-        object.__setattr__(self, "terms", clean)
+        cs = {}
+        for (a, b), c in (terms or {}).items():
+            if a < 0 or b < 0:
+                raise ValueError(f"negative exponent ({a},{b})")
+            c = c if isinstance(c, GaussRational) else GaussRational(c)
+            if not c.is_zero:
+                cs[(int(a), int(b))] = c
+        # the lcm of reduced denominators is already the canonical d
+        den = math.lcm(*(x.denominator for c in cs.values() for x in (c.re, c.im)))
+        rows = [[] for _ in range(max((b for _, b in cs), default=-1) + 1)]
+        for (a, b), c in cs.items():
+            row = rows[b]
+            row.extend([(0, 0)] * (a + 1 - len(row)))
+            row[a] = tuple(x.numerator * (den // x.denominator) for x in (c.re, c.im))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, rows: list, den: int = 1) -> "BiPoly":
+        """rows / den in canonical form; takes rows over (trailing empty rows go)."""
+        while rows and not rows[-1]:
+            rows.pop()
+        g = 1 if den == 1 else math.gcd(den, *(x for row in rows for c in row for x in c))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = [[(re // g, im // g) for re, im in row] for row in rows]
+            den //= g
+        f = object.__new__(cls)
+        object.__setattr__(f, "_rows", rows)
+        object.__setattr__(f, "_den", den)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable; build a new one")
@@ -205,43 +235,62 @@ class BiPoly:
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return cls._make([])
 
     @classmethod
     def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): c if isinstance(c, GaussRational) else GaussRational(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def var(cls, which: int) -> "BiPoly":
         """The polynomial z1 (which=1) or z2 (which=2)."""
-        if which == 1:
-            return cls({(1, 0): GR_ONE})
-        if which == 2:
-            return cls({(0, 1): GR_ONE})
-        raise ValueError("variable index must be 1 or 2")
+        if which not in (1, 2):
+            raise ValueError("variable index must be 1 or 2")
+        return cls({(2 - which, which - 1): 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._rows
 
     @property
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return self.deg2 <= 0 and self.deg1 <= 0
 
     @property
     def deg1(self) -> int:
         """Degree in z1 (-1 for the zero polynomial)."""
-        return max((a for a, _ in self.terms), default=-1)
+        return max((len(row) for row in self._rows), default=0) - 1
 
     @property
     def deg2(self) -> int:
         """Degree in z2 (-1 for the zero polynomial)."""
-        return max((b for _, b in self.terms), default=-1)
+        return len(self._rows) - 1
 
     def coeff(self, a: int, b: int) -> GaussRational:
         return self.terms.get((a, b), GR_ZERO)
+
+    def _items(self) -> list[tuple[int, int, int, int]]:
+        # (a, b, re, im) for each nonzero numerator term, ascending in (a, b)
+        return sorted(
+            (a, b, re, im)
+            for b, row in enumerate(self._rows)
+            for a, (re, im) in enumerate(row)
+            if re or im
+        )
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], GaussRational]:
+        """Read-only {(a, b): coefficient} for the nonzero terms, ascending in (a, b)."""
+        try:
+            return self._terms
+        except AttributeError:
+            d = self._den
+            items = self._items()
+            view = {(a, b): GaussRational(Fraction(x, d), Fraction(y, d)) for a, b, x, y in items}
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+            return self._terms
 
     def degree_sum(self) -> int:
         """Sum of the per-variable degrees, the exponent in the 2^d dilation bound."""
@@ -251,51 +300,48 @@ class BiPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, (GaussRational, int, Fraction)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
+            return BiPoly.constant(other)
+        return other if isinstance(other, BiPoly) else None
+
+    def _plus(self, other, t: int):
+        # self + t other for t = 1 or -1, over the lcm of the denominators
+        o = BiPoly._coerce(other)
+        if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, GR_ZERO) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiPoly(out)
+        den = math.lcm(self._den, o._den)
+        s, t = den // self._den, t * (den // o._den)
+        rows = self._rows if s == 1 else [[(s * x, s * y) for x, y in row] for row in self._rows]
+        pairs = zip_longest(rows, o._rows, fillvalue=[])
+        return BiPoly._make([_zadd(u, v, t) for u, v in pairs], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (GaussRational, int, Fraction)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        return BiPoly._make([[(-x, -y) for x, y in row] for row in self._rows], self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussRational, int, Fraction)):
-            k = other if isinstance(other, GaussRational) else GaussRational(other)
-            return BiPoly({e: c * k for e, c in self.terms.items()})
-        if not isinstance(other, BiPoly):
+        o = BiPoly._coerce(other)
+        if o is None:
             return NotImplemented
-        out: dict[tuple[int, int], GaussRational] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, GR_ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return BiPoly(out)
+        rows: list[list] = [[] for _ in range(len(self._rows) + len(o._rows) - 1)]
+        for j, u in enumerate(self._rows):
+            if u:
+                for k, v in enumerate(o._rows, j):
+                    if v:
+                        rows[k] = _zadd(rows[k], _zmul(u, v))
+        return BiPoly._make(rows, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -312,27 +358,33 @@ class BiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
+        o = BiPoly._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == o._den and self._rows == o._rows
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, tuple(map(tuple, self._rows))))
 
     def deriv(self, which: int) -> "BiPoly":
         """Partial derivative with respect to z1 (which=1) or z2 (which=2)."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            if which == 1 and a > 0:
-                out[(a - 1, b)] = GaussRational(c.re * a, c.im * a)
-            elif which == 2 and b > 0:
-                out[(a, b - 1)] = GaussRational(c.re * b, c.im * b)
-        return BiPoly(out)
+        if which == 1:
+            rows = [[(a * x, a * y) for a, (x, y) in enumerate(row)][1:] for row in self._rows]
+        elif which == 2:
+            rows = [[(b * x, b * y) for x, y in row] for b, row in enumerate(self._rows)][1:]
+        else:
+            raise ValueError("variable index must be 1 or 2")
+        return BiPoly._make(rows, self._den)
 
     def swap_vars(self) -> "BiPoly":
-        return BiPoly({(b, a): c for (a, b), c in self.terms.items()})
+        rows: list[list] = [[] for _ in range(self.deg1 + 1)]
+        for b, row in enumerate(self._rows):
+            for a, c in enumerate(row):
+                if c != (0, 0):
+                    out = rows[a]
+                    out.extend([(0, 0)] * (b - len(out)))
+                    out.append(c)
+        return BiPoly._make(rows, self._den)
 
     # -- evaluation & numeric export ----------------------------------------
 
@@ -340,191 +392,80 @@ class BiPoly:
         """Evaluate at a point; exact for GaussRational inputs, complex otherwise.
 
         Horner in z1 along each z2-row, then in z2 over the row values;
-        decompose._eval_stack repeats this order on floats bit for bit.
+        decompose._eval_stack repeats this order on floats bit for bit.  The
+        exact path runs on the numerators and divides by d once at the end.
         """
+        d = self._den
         floats = isinstance(x1, (complex, float)) or isinstance(x2, (complex, float))
         if floats:
-            x1, x2 = complex(x1), complex(x2)
+            x1, x2, zero = complex(x1), complex(x2), 0j
+            rows = [[complex(x / d, y / d) for x, y in row] for row in self._rows]
         else:
-            if isinstance(x1, int):
-                x1 = GaussRational(x1)
-            if isinstance(x2, int):
-                x2 = GaussRational(x2)
-        zero = 0j if floats else GR_ZERO
+            x1, x2 = (GaussRational(x) if isinstance(x, int) else x for x in (x1, x2))
+            zero = GR_ZERO
+            rows = [[GaussRational(x, y) for x, y in row] for row in self._rows]
         acc = zero
-        for row in reversed(self._z2_rows()):
+        for row in reversed(rows):
             r = zero
-            for a in range(max(row, default=-1), -1, -1):
-                c = row.get(a, GR_ZERO)
-                r = r * x1 + (complex(c) if floats else c)
+            for c in reversed(row):
+                r = r * x1 + c
             acc = acc * x2 + r
-        return acc
+        return acc if floats else acc / d
 
     def complex_terms(self) -> tuple[tuple[int, int, complex], ...]:
-        """(a, b, complex(c)) for every term c z1^a z2^b, converted once and kept."""
+        """(a, b, complex(c)) for every term c z1^a z2^b, ascending in (a, b), kept."""
         try:
             return self._complex
         except AttributeError:
-            terms = tuple((a, b, complex(c)) for (a, b), c in self.terms.items())
+            d = self._den
+            terms = tuple((a, b, complex(x / d, y / d)) for a, b, x, y in self._items())
             object.__setattr__(self, "_complex", terms)
             return terms
+
+    def coeff_scale(self) -> float:
+        """1 + max |c| over the coefficients: the scale a residual of self is judged by."""
+        return 1.0 + max((abs(c) for _, _, c in self.complex_terms()), default=0.0)
 
     def coeff_matrix(self) -> np.ndarray:
         """Complex coefficient array C with C[a, b] multiplying z1^a z2^b."""
         m = np.zeros((max(self.deg1, 0) + 1, max(self.deg2, 0) + 1), dtype=np.complex128)
-        for (a, b), c in self.terms.items():
-            m[a, b] = complex(c)
+        d = self._den
+        for b, row in enumerate(self._rows):
+            m[: len(row), b] = [complex(x / d, y / d) for x, y in row]
         return m
-
-    def _z2_rows(self) -> list[dict[int, GaussRational]]:
-        # {z1 power: coefficient} for each z2 power
-        rows: list[dict[int, GaussRational]] = [{} for _ in range(self.deg2 + 1)]
-        for (a, b), c in self.terms.items():
-            rows[b][a] = c
-        return rows
 
     def z2_coeffs(self) -> list["BiPoly"]:
         """Coefficients as polynomials in z1 alone (z2-degree 0); index = z2 power."""
-        return [BiPoly({(a, 0): c for a, c in row.items()}) for row in self._z2_rows()]
+        return [BiPoly._make([row], self._den) for row in self._rows]
 
     # -- display -------------------------------------------------------------
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
         parts = []
-        for (a, b) in sorted(self.terms, key=lambda t: (-t[1], -t[0])):
-            c = self.terms[(a, b)]
-            mono = "*".join(
-                s
-                for s in (
-                    f"z1^{a}" if a > 1 else ("z1" if a == 1 else ""),
-                    f"z2^{b}" if b > 1 else ("z2" if b == 1 else ""),
-                )
-                if s
-            )
-            if not mono:
-                parts.append(repr(c))
-            elif c == GR_ONE:
-                parts.append(mono)
-            else:
-                parts.append(f"{c!r}*{mono}")
-        return " + ".join(parts)
+        for (a, b), c in sorted(self.terms.items(), key=lambda t: (-t[0][1], -t[0][0])):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("z1", a), ("z2", b)) if e)
+            parts.append(mono if mono and c == GR_ONE else f"{c!r}*{mono}" if mono else repr(c))
+        return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
-# exact division; gcd and resultant by one subresultant PRS; square-free
+# the Gaussian-integer kernel: a Gaussian integer is an (re, im) pair of
+# ints, a polynomial in Z[i][z1] an ascending list of them with no trailing
+# zero (the empty list is 0), and one in (Z[i][z1])[z2] an ascending z2-list
+# of those -- the layout of a BiPoly's numerator
 # ---------------------------------------------------------------------------
 
 
-def _lex_lead(f: BiPoly) -> tuple[int, int]:
-    # leading term under lex order with z2 before z1
-    return max(f.terms, key=lambda t: (t[1], t[0]))
-
-
-def lex_monic(f: BiPoly) -> BiPoly:
-    """Scale so the lex-leading (z2 first, then z1) coefficient is 1."""
-    if f.is_zero:
-        return f
-    lead = f.terms[_lex_lead(f)]
-    if lead == GR_ONE:
-        return f
-    return f * (GR_ONE / lead)
-
-
-def exact_div(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Exact quotient f/g; raises ExactDivisionError if g does not divide f."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero:
-        return BiPoly.zero()
-    ga, gb = _lex_lead(g)
-    gc = g.terms[(ga, gb)]
-    rem = dict(f.terms)
-    quot: dict[tuple[int, int], GaussRational] = {}
-    while rem:
-        a, b = max(rem, key=lambda t: (t[1], t[0]))
-        if a < ga or b < gb:
-            raise ExactDivisionError("not an exact divisor")
-        qe = (a - ga, b - gb)
-        qc = rem[(a, b)] / gc
-        quot[qe] = quot.get(qe, GR_ZERO) + qc
-        for (ea, eb), c in g.terms.items():
-            k = (qe[0] + ea, qe[1] + eb)
-            s = rem.get(k, GR_ZERO) - qc * c
-            if s.is_zero:
-                rem.pop(k, None)
-            else:
-                rem[k] = s
-    return BiPoly(quot)
-
-
-def divides(g: BiPoly, f: BiPoly) -> bool:
-    try:
-        exact_div(f, g)
-        return True
-    except ExactDivisionError:
-        return False
-
-
-def content_pp_z2(f: BiPoly) -> tuple[BiPoly, BiPoly]:
-    """Split f into (content, primitive part) viewing f in (Q(i)[z1])[z2].
-
-    The content is the monic gcd of the z2-coefficients, a polynomial in z1
-    alone taken from the lowest-degree coefficient on; the primitive part is
-    the exact quotient f / content.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("content of the zero polynomial")
-    cs = f.z2_coeffs()
-    cont = min((u for u in cs if not u.is_zero), key=lambda u: u.deg1)
-    for u in cs:
-        if cont.deg1 == 0:
-            break
-        if u is not cont:
-            cont = gcd2(cont, u)
-    cont = lex_monic(cont)
-    if cont.deg1 == 0:
-        return cont, f
-    return cont, exact_div(f, cont)
-
-
-# The Gaussian-integer kernel.  A Gaussian integer is an (re, im) pair of
-# ints.  A polynomial in Z[i][z1] is an ascending list of them with no
-# trailing zero (the empty list is 0), and one in (Z[i][z1])[z2] is an
-# ascending list of those.
-
-
-def _lcm_denominators(cs: Iterable[GaussRational]) -> int:
-    return math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-
-
-def _zi(c: GaussRational, d: int) -> tuple[int, int]:
-    # d * c, for a common multiple d of the denominators of c
-    return (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
-
-
-def _zi_z2(f: BiPoly) -> tuple[list, int]:
-    """(D f as a z2-list over Z[i][z1], D) for the lcm D of f's denominators."""
-    d = _lcm_denominators(f.terms.values())
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(f.deg2 + 1)]
-    for (a, b), c in f.terms.items():
-        row = rows[b]
-        if len(row) <= a:
-            row.extend([(0, 0)] * (a + 1 - len(row)))
-        row[a] = _zi(c, d)
-    return rows, d
-
-
-def _from_zi_z2(rows: list) -> BiPoly:
-    return BiPoly(
-        {
-            (a, b): GaussRational(re, im)
-            for b, row in enumerate(rows)
-            for a, (re, im) in enumerate(row)
-            if re or im
-        }
-    )
+def _zadd(u: list, v: list, t: int = 1) -> list:
+    """u + t v in Z[i][z1] for an int t."""
+    out = list(u)
+    out.extend([(0, 0)] * (len(v) - len(u)))
+    for i, (br, bi) in enumerate(v):
+        ar, ai = out[i]
+        out[i] = (ar + t * br, ai + t * bi)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
 
 
 def _zmul(u: list, v: list) -> list:
@@ -538,17 +479,6 @@ def _zmul(u: list, v: list) -> list:
                 re[j] += ar * br - ai * bi
                 im[j] += ar * bi + ai * br
     return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
-
-
-def _zsub(u: list, v: list) -> list:
-    out = list(u)
-    out.extend([(0, 0)] * (len(v) - len(u)))
-    for i, (br, bi) in enumerate(v):
-        ar, ai = out[i]
-        out[i] = (ar - br, ai - bi)
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
 
 
 def _zpow(u: list, n: int) -> list:
@@ -594,6 +524,22 @@ def _zdiv(u: list, v: list) -> list:
     return q
 
 
+def _zdiv_z2(u: list, v: list) -> list:
+    """Exact quotient u / v of z2-lists over Z[i][z1]; ExactDivisionError if none."""
+    dv = len(v) - 1
+    r = list(u)
+    q: list[list] = [[]] * max(0, len(u) - dv)
+    for k in range(len(u) - 1 - dv, -1, -1):
+        if r[k + dv]:
+            q[k] = c = _zdiv(r[k + dv], v[-1])
+            for i in range(dv):  # the top row cancels exactly
+                if v[i]:
+                    r[k + i] = _zadd(r[k + i], _zmul(c, v[i]), -1)
+    if any(r[:dv]):
+        raise ExactDivisionError("not an exact divisor")
+    return q
+
+
 def _zprem(a: list, b: list) -> list:
     """lc(B)^(deg A - deg B + 1) * A mod B for z2-lists over Z[i][z1].
 
@@ -608,7 +554,7 @@ def _zprem(a: list, b: list) -> list:
         r = [_zmul(lcb, c) for c in r]
         if lr:
             for i in range(db):
-                r[k + i] = _zsub(r[k + i], _zmul(lr, b[i]))
+                r[k + i] = _zadd(r[k + i], _zmul(lr, b[i]), -1)
     while r and not r[-1]:
         r.pop()
     return r
@@ -640,15 +586,77 @@ def _subresultant_prs(a: list, b: list):
     return a, b, h, s
 
 
+# ---------------------------------------------------------------------------
+# exact division; gcd and resultant by one subresultant PRS; square-free
+# ---------------------------------------------------------------------------
+
+
+def lex_monic(f: BiPoly) -> BiPoly:
+    """Scale so the lex-leading (z2 first, then z1) coefficient is 1."""
+    if f.is_zero:
+        return f
+    lr, li = f._rows[-1][-1]
+    if (lr, li) == (f._den, 0):
+        return f
+    # (F / d) / (L / d) = F conj(L) / |L|^2
+    return BiPoly._make([_zmul(row, [(lr, -li)]) for row in f._rows], lr * lr + li * li)
+
+
+def exact_div(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Exact quotient f/g; raises ExactDivisionError if g does not divide f.
+
+    (F / d) / (G / e) = (m e F / G) / (m d): m = |L|^2 / gcd(Re L, Im L) is
+    a multiple of G's lex-leading Gaussian integer L, so m F / G is integral.
+    """
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero:
+        return BiPoly.zero()
+    lr, li = g._rows[-1][-1]
+    m = (lr * lr + li * li) // math.gcd(lr, li)
+    k = m * g._den
+    scaled = [[(k * x, k * y) for x, y in row] for row in f._rows]
+    return BiPoly._make(_zdiv_z2(scaled, g._rows), m * f._den)
+
+
+def divides(g: BiPoly, f: BiPoly) -> bool:
+    try:
+        exact_div(f, g)
+        return True
+    except ExactDivisionError:
+        return False
+
+
+def content_pp_z2(f: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """Split f into (content, primitive part) viewing f in (Q(i)[z1])[z2].
+
+    The content is the monic gcd of the z2-coefficients, a polynomial in z1
+    alone taken from the lowest-degree coefficient on; the primitive part is
+    the exact quotient f / content.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("content of the zero polynomial")
+    cs = f.z2_coeffs()
+    cont = min((u for u in cs if not u.is_zero), key=lambda u: u.deg1)
+    for u in cs:
+        if cont.deg1 == 0:
+            break
+        if u is not cont:
+            cont = gcd2(cont, u)
+    cont = lex_monic(cont)
+    if cont.deg1 == 0:
+        return cont, f
+    return cont, exact_div(f, cont)
+
+
 def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact gcd in Q(i)[z1, z2], normalized lex-monic (z2 before z1).
 
     The gcd of the z2-contents times the primitive part of the last nonzero
-    element of the subresultant PRS of the primitive parts, run on Z[i] after
-    each part is cleared of denominators.  When that element is free of z2
-    (always so for a z2-free argument) the primitive parts are coprime.  Two
-    arguments in z1 alone run the PRS on their swaps, whose z2-coefficients
-    are constants, with no content split.
+    element of the subresultant PRS of the primitive parts' numerators.
+    When that element is free of z2 (always so for a z2-free argument) the
+    primitive parts are coprime.  Two arguments in z1 alone run the PRS on
+    their swaps, whose z2-coefficients are constants, with no content split.
     """
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
@@ -657,15 +665,15 @@ def gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     if f.is_constant or g.is_constant:
         return BiPoly.constant(1)
     if f.deg2 == 0 and g.deg2 == 0:
-        a, b, _, _ = _subresultant_prs(_zi_z2(f.swap_vars())[0], _zi_z2(g.swap_vars())[0])
-        return BiPoly.constant(1) if b else lex_monic(_from_zi_z2(a).swap_vars())
+        a, b, _, _ = _subresultant_prs(f.swap_vars()._rows, g.swap_vars()._rows)
+        return BiPoly.constant(1) if b else lex_monic(BiPoly._make(a).swap_vars())
     cf, pf = content_pp_z2(f)
     cg, pg = content_pp_z2(g)
     cont = gcd2(cf, cg)
-    a, b, _, _ = _subresultant_prs(_zi_z2(pf)[0], _zi_z2(pg)[0])
+    a, b, _, _ = _subresultant_prs(pf._rows, pg._rows)
     if b:
         return cont
-    _, gpp = content_pp_z2(_from_zi_z2(a))
+    _, gpp = content_pp_z2(BiPoly._make(a))
     return lex_monic(cont * gpp)
 
 
@@ -674,32 +682,23 @@ def resultant_z2(f: BiPoly, g: BiPoly) -> BiPoly:
 
     Read off the end of the subresultant PRS (Collins 1967; Brown & Traub
     1971): s * lc(B)^deg A / h^(deg A - 1) for the last, z2-free element B.
-    The PRS runs on D_f f and D_g g, cleared of denominators, and the result
-    is divided once by D_f^(deg2 g) D_g^(deg2 f).  The actual z2-degrees fix
-    the Sylvester matrix, so a z2-free argument c gives c^deg of the other,
-    in either order.  Vanishes exactly where f and g share a z2-root or both
-    leading z2-coefficients vanish, and identically when they share a factor
-    that involves z2.
+    The PRS runs on the numerators F and G of f = F / d and g = G / e, and
+    the result is divided once by d^(deg2 g) e^(deg2 f).  The actual
+    z2-degrees fix the Sylvester matrix, so a z2-free argument c gives
+    c^deg of the other, in either order.  Vanishes exactly where f and g
+    share a z2-root or both leading z2-coefficients vanish, and identically
+    when they share a factor that involves z2.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("resultant with a zero polynomial")
     if f.deg2 < 1 and g.deg2 < 1:
         raise ValueError("resultant needs z2-degree >= 1 in at least one argument")
-    fz, df = _zi_z2(f)
-    gz, dg = _zi_z2(g)
-    a, b, h, s = _subresultant_prs(fz, gz)
+    a, b, h, s = _subresultant_prs(f._rows, g._rows)
     if not b:
         return BiPoly.zero()
     da = len(a) - 1
     r = _zdiv(_zpow(b[0], da), _zpow(h, da - 1))
-    d = s * df ** g.deg2 * dg ** f.deg2
-    return BiPoly(
-        {
-            (k, 0): GaussRational(Fraction(re, d), Fraction(im, d))
-            for k, (re, im) in enumerate(r)
-            if re or im
-        }
-    )
+    return BiPoly._make([r], s * f._den ** g.deg2 * g._den ** f.deg2)
 
 
 def gcd_many(polys: Iterable[BiPoly]) -> BiPoly:
@@ -750,10 +749,7 @@ VARS = ["z1", "z2"]
 
 def poly_to_json(f: BiPoly) -> dict:
     """Lossless JSON form: coefficients as exact rational strings."""
-    terms = []
-    for (a, b) in sorted(f.terms):
-        c = f.terms[(a, b)]
-        terms.append({"a": a, "b": b, "re": str(c.re), "im": str(c.im)})
+    terms = [{"a": a, "b": b, "re": str(c.re), "im": str(c.im)} for (a, b), c in f.terms.items()]
     return {"vars": list(VARS), "terms": terms}
 
 
@@ -787,12 +783,7 @@ def poly_from_json(obj) -> BiPoly:
             c = GaussRational.parse(t.get("re", 0), t.get("im", 0))
         except PolyFormatError as exc:
             raise PolyFormatError(f"term #{idx}: {exc}") from None
-        key = (a, b)
-        prev = terms.get(key, GR_ZERO) + c
-        if prev.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = prev
+        terms[(a, b)] = terms.get((a, b), GR_ZERO) + c  # BiPoly drops the zeros
     return BiPoly(terms)
 
 

@@ -138,6 +138,27 @@ class TestOtherCommands:
         assert rep["status"] == "DENSE"
 
 
+class TestTermOrder:
+    """A report depends on the polynomial, not on the order its terms are listed in."""
+
+    TERMS = [
+        (0, 0, "20", "0"), (1, 0, "-4", "-9/4"), (1, 1, "-9/5", "2/3"),
+        (2, 1, "7", "-3"), (3, 2, "2/9", "-1"), (3, 3, "-1/6", "-8"),
+    ]
+
+    @pytest.mark.parametrize("argv", [["density"], ["hopf", "--ratio"]], ids=["density", "hopf"])
+    def test_sorted_and_reversed_listings_agree(self, capsys, tmp_path, argv):
+        listing = [{"a": a, "b": b, "re": re, "im": im} for a, b, re, im in self.TERMS]
+        reports = []
+        for name, terms in (("sorted.json", listing), ("reversed.json", listing[::-1])):
+            path = tmp_path / name
+            path.write_text(json.dumps({"vars": ["z1", "z2"], "terms": terms}))
+            code, out, _ = run(capsys, *argv, "--poly", str(path))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+
 class TestErrorPaths:
     def test_malformed_input_names_term(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -220,13 +241,6 @@ class TestErrorPaths:
         rep = json.loads(out)
         assert rep["overall"] == "INCONCLUSIVE"
         assert "no usable base point" in rep["justification"]
-
-    def test_env_seed_override(self, capsys, monkeypatch, tmp_path):
-        path = write_poly(tmp_path, "p.json", Z2**2 - Z1)
-        monkeypatch.setenv("NULLSATZ_SEED", "99")
-        code, out, _ = run(capsys, "decompose", "--poly", path, "--seed", "1")
-        assert code == 0
-        assert json.loads(out)["config"]["seed"] == 99
 
 
 def outcome(capsys, argv):

@@ -7,7 +7,7 @@ import pytest
 
 from nullsatz import cli
 from nullsatz.bergman import DomainSpec
-from nullsatz.config import ENV_SEED, RunConfig
+from nullsatz.config import RunConfig
 
 
 class TestValidation:
@@ -39,22 +39,6 @@ class TestValidation:
     def test_rejects_non_domain(self):
         with pytest.raises(ValueError, match="domain"):
             RunConfig(domain="ball")
-
-
-class TestEnvSeed:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "42")
-        cfg = RunConfig(seed=7).with_env_seed()
-        assert cfg.seed == 42
-
-    def test_no_env_keeps_seed(self, monkeypatch):
-        monkeypatch.delenv(ENV_SEED, raising=False)
-        assert RunConfig(seed=7).with_env_seed().seed == 7
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "not-a-seed")
-        with pytest.raises(ValueError, match=ENV_SEED):
-            RunConfig().with_env_seed()
 
 
 class TestSerialization:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -42,7 +41,6 @@ import pytest
 
 from nullsatz.bergman import DomainSpec
 from nullsatz.cli import main
-from nullsatz.config import ENV_SEED
 from nullsatz.nullsatz import classify
 from nullsatz.polyalg import BiPoly, GaussRational
 
@@ -125,8 +123,7 @@ def report(name: str) -> str:
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_report_matches_golden(name, monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert report(name).encode() == expected
 
@@ -144,7 +141,6 @@ def test_leaf_diffs_name_every_changed_value():
 
 
 def regenerate() -> None:
-    os.environ.pop(ENV_SEED, None)
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
         (GOLDEN / f"{name}.json").write_bytes(report(name).encode())
@@ -172,7 +168,6 @@ def _leaf_diffs(old, new, path: str = "$"):
 
 def diff() -> int:
     """Print how fresh reports differ from the golden files; 1 if a non-number changed."""
-    os.environ.pop(ENV_SEED, None)
     other_changed = False
     top_abs = top_rel = 0.0
     for name in CASES:

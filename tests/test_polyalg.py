@@ -8,10 +8,20 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
+from oracles import (
+    FractionPoly,
+    ref_content_pp_z2,
+    ref_exact_div,
+    ref_gcd2,
+    ref_lex_monic,
+    ref_resultant_z2,
+)
 
 from nullsatz.polyalg import (
     BiPoly,
@@ -19,6 +29,7 @@ from nullsatz.polyalg import (
     GaussRational,
     PolyFormatError,
     ZeroPolynomialError,
+    content_pp_z2,
     divides,
     exact_div,
     gcd2,
@@ -694,6 +705,131 @@ class TestGaussianIntegerKernel:
         u = [(3, -1), (0, 2), (-4, 0)]
         v = [(1, 1), (2, -3)]
         assert _zdiv(_zmul(u, v), v) == u
+
+
+# ---------------------------------------------------------------------------
+# against the frozen Fraction-pair reference (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+def oracle_terms(rng: random.Random, d1: int, d2: int) -> dict:
+    """About 60% of the terms z1^a z2^b, a <= d1, b <= d2, and always z1^d1 z2^d2."""
+    terms = {
+        (a, b): wide_gauss(rng)
+        for a in range(d1 + 1) for b in range(d2 + 1) if rng.random() < 0.6
+    }
+    terms[(d1, d2)] = GaussRational(rng.randint(1, 3), rng.randint(-2, 2))
+    return terms
+
+
+def oracle_pair(seed: int) -> tuple[tuple[BiPoly, FractionPoly], tuple[BiPoly, FractionPoly]]:
+    rng = random.Random(seed)
+    shapes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2)]
+    tf, tg = (oracle_terms(rng, d1, d2) for d1, d2 in shapes)
+    return (BiPoly(tf), FractionPoly(tf)), (BiPoly(tg), FractionPoly(tg))
+
+
+def agrees(f: BiPoly, ref: FractionPoly) -> bool:
+    return dict(f.terms) == ref.terms
+
+
+ORACLE_SEEDS = range(12)
+
+
+class TestFractionReference:
+    """Every BiPoly operation equals the frozen Fraction-pair reference."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_ring_operations(self, seed):
+        (f, rf), (g, rg) = oracle_pair(seed)
+        c = GaussRational(Fraction(-3, 7), Fraction(5, 4))
+        assert agrees(f + g, rf + rg) and agrees(f - g, rf - rg) and agrees(f * g, rf * rg)
+        assert agrees(-f, -rf) and agrees(f * c, rf * c) and agrees(3 - f, 3 - rf)
+        assert agrees(f + Fraction(1, 6), rf + Fraction(1, 6))
+        for n in range(4):
+            assert agrees(f**n, rf**n)
+        assert agrees(f - f, rf - rf) and (f - f).is_zero
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_deriv_swap_and_lex_monic(self, seed):
+        (f, rf), (g, rg) = oracle_pair(seed)
+        for p, rp in ((f, rf), (g, rg), (f * g, rf * rg)):
+            assert agrees(p.deriv(1), rp.deriv(1)) and agrees(p.deriv(2), rp.deriv(2))
+            assert agrees(p.swap_vars(), rp.swap_vars())
+            assert agrees(lex_monic(p), ref_lex_monic(rp))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_content_gcd_and_resultant(self, seed):
+        (f, rf), (g, rg) = oracle_pair(seed)
+        (h, rh), _ = oracle_pair(seed + 100)
+        for p, q, rp, rq in ((f, g, rf, rg), (f * h, g * h, rf * rh, rg * rh)):
+            if p.is_constant or q.is_constant:
+                continue
+            for x, rx in ((p, rp), (q, rq)):
+                cont, pp = content_pp_z2(x)
+                rcont, rpp = ref_content_pp_z2(rx)
+                assert agrees(cont, rcont) and agrees(pp, rpp)
+            assert agrees(gcd2(p, q), ref_gcd2(rp, rq))
+            if p.deg2 >= 1 or q.deg2 >= 1:
+                assert agrees(resultant_z2(p, q), ref_resultant_z2(rp, rq))
+                assert agrees(resultant_z2(q, p), ref_resultant_z2(rq, rp))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_exact_div(self, seed):
+        (f, rf), (g, rg) = oracle_pair(seed)
+        assert agrees(exact_div(f * g, g), ref_exact_div(rf * rg, rg))
+        assert exact_div(f * g, g) == f and exact_div(f * g, f) == g
+        if not g.is_constant:
+            for p, rp in ((f * g + 1, rf * rg + 1), (f * g + g.swap_vars(), None)):
+                with pytest.raises(ExactDivisionError):
+                    exact_div(p, g)
+                if rp is not None:
+                    with pytest.raises(ExactDivisionError):
+                        ref_exact_div(rp, rg)
+
+    def test_exact_div_by_a_divisor_with_gaussian_content(self):
+        one_i, conj_i = GaussRational(1, 1), GaussRational(1, -1)
+        divisors = [
+            one_i * Z1 + conj_i,  # Gaussian content 1 + i
+            (one_i * Z1 + conj_i) * GaussRational(Fraction(2, 3), Fraction(4, 3)) * Z2 + 2 * one_i,
+            GaussRational(2, 2) * Z1 * Z2 + GaussRational(6, -2) * Z1 + GaussRational(0, 4),
+        ]
+        rng = random.Random(41)
+        for g in divisors:
+            rg = FractionPoly(g.terms)
+            for _ in range(3):
+                t = oracle_terms(rng, 2, 2)
+                h, rh = BiPoly(t), FractionPoly(t)
+                assert exact_div(h * g, g) == h
+                assert agrees(exact_div(h * g, g), ref_exact_div(rh * rg, rg))
+                with pytest.raises(ExactDivisionError):
+                    exact_div(h * g + Z1, g)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_float_eval_and_coeff_matrix_bits(self, seed):
+        (f, rf), (g, rg) = oracle_pair(seed)
+        rng = random.Random(seed)
+        for p, rp in ((f, rf), (g, rg), (f * g, rf * rg)):
+            assert p.coeff_matrix().tobytes() == rp.coeff_matrix().tobytes()
+            assert p.coeff_matrix().shape == rp.coeff_matrix().shape
+            for _ in range(5):
+                x1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                x2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                ours, theirs = np.array([p.eval(x1, x2)]), np.array([rp.eval(x1, x2)])
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_sparse_high_degree(self):
+        start = time.perf_counter()
+        f = poly_from_json(
+            {"terms": [{"a": 300, "b": 40, "re": "1"}, {"a": 0, "b": 0, "re": "1/3"}]}
+        )
+        assert f == Z1**300 * Z2**40 + Fraction(1, 3)
+        assert poly_from_json(json.loads(json.dumps(poly_to_json(f)))) == f
+        g = Z1 - 2 * Z2 + GaussRational(0, Fraction(1, 5))
+        assert exact_div(f * g, g) == f and exact_div(f * f, f) == f
+        with pytest.raises(ExactDivisionError):
+            exact_div(f * g + 1, g)
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
