@@ -86,6 +86,10 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the default slot restore
+        return (GaussRational, (self.re, self.im))
+
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -230,6 +234,10 @@ class BiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable; build a new one")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the storage alone; the caches refill on use
+        return (BiPoly._make, (self._rows, self._den))
 
     # -- constructors ------------------------------------------------------
 

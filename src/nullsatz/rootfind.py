@@ -3,14 +3,15 @@
 Two numeric workhorses live here: an Aberth–Ehrlich simultaneous iteration
 on vectorized batches of equal-degree polynomials, and a
 predictor–corrector continuation that transports the root fiber of
-f(z1, z2) = 0 in z2 along a path of z1 values.  Each step first tries a warm
-corrector: a few batched Newton steps on every sheet, starting from the
-previous fiber, which keep the rows aligned.  When Newton does not converge,
-or the corrected step breaks the separation rule, the step falls back to a
-cold Aberth solve whose roots are paired with the previous fiber's
-nearest ones.  The tracker refuses to jump: when two roots pick the same
-partner, or the pairing moves a root by half the minimum root separation or
-more, the parameter step is bisected.
+f(z1, z2) = 0 in z2 along a path of z1 values.  Each step predicts the new
+fiber by a secant through the last two accepted ones and corrects it with a
+few batched Newton steps on every sheet, which keep the rows aligned.  The
+tracker refuses to jump: a step that moves a root by half the minimum root
+separation or more is bisected.  When Newton does not converge, or the
+step is already bisected MAX_BISECTIONS times, the step falls back to a cold
+Aberth solve whose roots are paired with the previous fiber's nearest
+ones, and that step too is bisected when two roots pick the same partner
+or the pairing breaks the same rule.
 The last sample of every path is always solved cold, so the end fiber does
 not depend on the corrector.
 
@@ -327,7 +328,10 @@ class TrackedPath:
     samples: np.ndarray  # (S,) complex z1 values after refinement
     fibers: np.ndarray  # (S, m) roots; row k+1 continues row k entrywise
     refinements: int = 0  # bisected steps
-    cold_solves: int = 0  # Aberth solves: fallbacks, last sample, start if no fiber0
+    # Aberth solves: Newton failures, steps at the bisection cap, the last
+    # sample (once more for each bisection of its step) and the start when
+    # no fiber0 is given
+    cold_solves: int = 0
 
     @property
     def start(self) -> np.ndarray:
@@ -373,10 +377,16 @@ def _min_separation(roots: np.ndarray) -> float:
     return float(d.min())
 
 
-def _step_ok(cur: np.ndarray, new: np.ndarray) -> bool:
-    """The separation rule: no root of an aligned step moves half a gap."""
+def _step_ok(cur: np.ndarray, new: np.ndarray, cur_sep: float | None = None) -> bool:
+    """The separation rule: no root of an aligned step moves half a gap.
+
+    cur_sep, when given, is _min_separation(cur), which the tracker keeps
+    once per accepted fiber.
+    """
     moved = float(np.max(np.abs(cur - new)))
-    sep = min(_min_separation(cur), _min_separation(new))
+    if cur_sep is None:
+        cur_sep = _min_separation(cur)
+    sep = min(cur_sep, _min_separation(new))
     return moved < SEPARATION_FACTOR * sep
 
 
@@ -424,15 +434,17 @@ def track(f, path, fiber0: np.ndarray | None = None) -> TrackedPath:
     """Transport the z2-root fiber of f along a path of z1 samples.
 
     f is a BiPoly or FiberPoly; path an array of complex z1 values (closed
-    loop when first == last).  Each step first runs the warm Newton
-    corrector from the current fiber.  If it does not converge, or moves a
-    root by half the minimum root separation or more, the step falls back
-    to a cold Aberth solve, each current root taking its nearest new root;
-    a cold step whose picks are not one to one, or that breaks the same
-    rule, is bisected, and the whole track fails with TrackError if
-    bisection bottoms out.  The last sample is always solved cold and
-    paired the same way, so the end fiber is the same whatever the
-    corrector did on the way.
+    loop when first == last).  Each step runs the warm Newton corrector from
+    the secant predictor cur + (cur - prev) (b - a) / (a - prev_z), a linear
+    extrapolation through the last two accepted samples (from cur itself on
+    the first step).  A corrected step that moves a root by half the minimum
+    root separation or more is bisected at once.  If Newton does not
+    converge, or the step is at MAX_BISECTIONS already, the step falls back to
+    a cold Aberth solve, each current root taking its nearest new root; a
+    cold step whose picks are not one to one, or that breaks the same rule,
+    is bisected, and the whole track fails with TrackError if bisection
+    bottoms out.  The last sample is always solved cold and paired the same
+    way, so the end fiber is the same whatever the corrector did on the way.
     """
     fp = f if isinstance(f, FiberPoly) else FiberPoly(f)
     path = np.asarray(path, dtype=np.complex128).ravel()
@@ -453,30 +465,38 @@ def track(f, path, fiber0: np.ndarray | None = None) -> TrackedPath:
     samples = [path[0]]
     fibers = [cur]
     refinements = 0
+    cur_sep = _min_separation(cur)
+    prev, prev_z = cur, path[0]  # the fiber accepted before cur, and its sample
 
     for seg_end_idx in range(1, path.size):
         final = seg_end_idx == path.size - 1
         stack = [(path[seg_end_idx - 1], path[seg_end_idx], 0, final)]
         while stack:
-            a, b, depth, final = stack.pop()
-            new = None if final else _newton_fiber(fp, b, cur)
-            if new is None or not _step_ok(cur, new):
+            a, b, depth, final = stack.pop()  # a is always cur's sample
+            new = None
+            if not final:
+                guess = cur if a == prev_z else cur + (cur - prev) * ((b - a) / (a - prev_z))
+                new = _newton_fiber(fp, b, guess)
+            ok = new is not None and _step_ok(cur, new, cur_sep)
+            if new is None or (not ok and depth >= MAX_BISECTIONS):
                 new = _fiber_at(fp, b)
                 cold_solves += 1
                 cols = _nearest_pairing(np.abs(cur[:, None] - new[None, :]))
                 new = None if cols is None else new[cols]
-                if new is None or not _step_ok(cur, new):
-                    if depth >= MAX_BISECTIONS:
-                        raise TrackError(
-                            f"pairing stayed ambiguous after {MAX_BISECTIONS} "
-                            f"bisections near z1={b:.6g}"
-                        )
-                    mid = 0.5 * (a + b)
-                    stack.append((mid, b, depth + 1, final))
-                    stack.append((a, mid, depth + 1, False))
-                    refinements += 1
-                    continue
-            cur = new
+                ok = new is not None and _step_ok(cur, new, cur_sep)
+            if not ok:
+                if depth >= MAX_BISECTIONS:
+                    raise TrackError(
+                        f"pairing stayed ambiguous after {MAX_BISECTIONS} "
+                        f"bisections near z1={b:.6g}"
+                    )
+                mid = 0.5 * (a + b)
+                stack.append((mid, b, depth + 1, final))
+                stack.append((a, mid, depth + 1, False))
+                refinements += 1
+                continue
+            prev, prev_z = cur, a
+            cur, cur_sep = new, _min_separation(new)
             samples.append(b)
             fibers.append(cur)
 

@@ -6,7 +6,9 @@ cross-checked against sympy's Gaussian-rational polynomial routines.
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -160,6 +162,19 @@ class TestGaussRational:
         c = GaussRational(Fraction(1, 2), 3)
         assert c in {GaussRational(Fraction(2, 4), 3)}
         assert Fraction(1, 2) not in {c}
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))),
+        ids=("copy", "deepcopy", "pickle"),
+    )
+    def test_copy_and_pickle(self, roundtrip):
+        for c in (GaussRational(Fraction(-22, 7), Fraction(1, 3)), GaussRational(5), GaussRational(0)):
+            d = roundtrip(c)
+            assert type(d) is GaussRational and d == c and hash(d) == hash(c)
+            assert (d.re, d.im) == (c.re, c.im)
+            with pytest.raises(AttributeError):
+                d.re = 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +330,26 @@ class TestBiPoly:
     def test_swap_vars(self):
         f = Z1**2 * Z2 + 3 * Z2
         assert f.swap_vars() == Z2**2 * Z1 + 3 * Z1
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        (copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))),
+        ids=("copy", "deepcopy", "pickle"),
+    )
+    def test_copy_and_pickle(self, roundtrip):
+        f = GaussRational(Fraction(1, 3), Fraction(-2, 7)) * Z1**2 * Z2 + 5 * Z2 - Fraction(1, 6)
+        for g in (f, BiPoly.zero(), Z1 + Z2):
+            h = roundtrip(g)
+            assert type(h) is BiPoly and h == g and hash(h) == hash(g)
+            assert dict(h.terms) == dict(g.terms)
+        f.terms, f.complex_terms()  # fill both caches before the round trip
+        h = roundtrip(f)
+        assert h == f and hash(h) == hash(f)
+        assert dict(h.terms) == dict(f.terms) and h.complex_terms() == f.complex_terms()
+        assert h.coeff_matrix().tobytes() == f.coeff_matrix().tobytes()
+        assert h * h == f * f
+        with pytest.raises(AttributeError):
+            h._den = 1
 
 
 # ---------------------------------------------------------------------------

@@ -664,3 +664,106 @@ class TestWarmTracker:
         assert tp.samples[-1] == path[-1]
         assert_separation_rule(tp)
         assert np.allclose(np.sort(tp.end.real), [-100.0, 100.0])
+
+    def test_long_converged_step_is_bisected_without_a_cold_solve(self, monkeypatch):
+        # sheets +-z1: the secant guess at z1 = 0.3 is exact, so the corrector
+        # converges there, but the roots move 0.6 against a gap of 0.6
+        cold, corrected = [], []
+        fiber_at, newton = rootfind._fiber_at, rootfind._newton_fiber
+
+        def cold_spy(fp, z1):
+            cold.append(z1)
+            return fiber_at(fp, z1)
+
+        def newton_spy(fp, z1, start):
+            out = newton(fp, z1, start)
+            corrected.append((z1, out))
+            return out
+
+        monkeypatch.setattr(rootfind, "_fiber_at", cold_spy)
+        monkeypatch.setattr(rootfind, "_newton_fiber", newton_spy)
+        path = np.array([1.0, 0.9, 0.3, 0.2], dtype=complex)
+        fiber0 = np.array([-1.0, 1.0], dtype=complex)
+        tp = track(Z2**2 - Z1**2, path, fiber0=fiber0)
+        z1, out = corrected[1]
+        assert z1 == 0.3 and out is not None
+        assert not _step_ok(tp.fibers[1], out)
+        assert tp.refinements > 0
+        assert cold == [path[-1]] and tp.cold_solves == 1
+        assert_separation_rule(tp)
+        assert np.allclose(tp.fibers, np.outer(tp.samples, [-1.0, 1.0]))
+
+    @pytest.mark.parametrize("name", sorted(WARM_CURVES))
+    def test_cold_solves_are_the_last_sample_and_corrector_failures(self, name, monkeypatch):
+        f, branch = WARM_CURVES[name]
+        fp = FiberPoly(f)
+        solved, failures = [], []
+        fiber_at, newton = rootfind._fiber_at, rootfind._newton_fiber
+
+        def cold_spy(fp, z1):
+            solved.append(z1)
+            return fiber_at(fp, z1)
+
+        def newton_spy(*args):
+            out = newton(*args)
+            failures.append(out is None)
+            return out
+
+        monkeypatch.setattr(rootfind, "_fiber_at", cold_spy)
+        monkeypatch.setattr(rootfind, "_newton_fiber", newton_spy)
+        paths = [
+            circle_samples(branch[-1], 0.4, 48),
+            loop_samples(2.5 + 0.5j, branch[-1], 0.3, 40, 12),
+            loop_samples(300 + 0j, branch[-1], 0.3, 64, 24),
+        ]
+        total = 0
+        for path in paths:
+            fiber0 = fiber_at(fp, path[0])
+            solved.clear()
+            failures.clear()
+            tp = track(fp, path, fiber0=fiber0)
+            # the last sample is solved once more each time its step is bisected
+            last = solved.count(path[-1])
+            assert last >= 1
+            assert tp.cold_solves == len(solved) == last + sum(failures)
+            total += sum(failures)
+        assert total > 0
+
+    def test_step_at_the_bisection_cap_is_solved_cold(self, monkeypatch):
+        # a corrector that swaps the sheets at z1 = 0.5 breaks the separation
+        # rule at every depth, so the step to 0.5 is solved cold at the cap
+        cap = 3
+        solved, failures = [], []
+        fiber_at, newton = rootfind._fiber_at, rootfind._newton_fiber
+
+        def cold_spy(fp, z1):
+            solved.append(z1)
+            return fiber_at(fp, z1)
+
+        def swapping(fp, z1, start):
+            out = newton(fp, z1, start)
+            failures.append(out is None)
+            return out[::-1] if out is not None and z1 == 0.5 else out
+
+        monkeypatch.setattr(rootfind, "MAX_BISECTIONS", cap)
+        monkeypatch.setattr(rootfind, "_fiber_at", cold_spy)
+        monkeypatch.setattr(rootfind, "_newton_fiber", swapping)
+        fp = FiberPoly(Z2**2 - Z1)
+        path = segment_samples(0.8 + 0.1j, 0.3 + 0.1j, 6)
+        path[3] = 0.5
+        tp = track(fp, path, fiber0=fiber_at(fp, path[0]))
+        assert tp.refinements == cap
+        assert not any(failures) and solved == [0.5, path[-1]]
+        assert tp.cold_solves == 1 + sum(failures) + 1
+        assert 0.5 in tp.samples
+        assert_separation_rule(tp)
+
+    def test_far_base_loop_counts(self):
+        # a loop from z1 = 300 around the crossing of the product's factors;
+        # the tracker that solved a too-long corrected step cold before
+        # bisecting it made 242 cold solves for the same 178 bisections
+        f, _ = WARM_CURVES["product"]
+        tp = track(f, loop_samples(300 + 0j, 1.0, 0.3, 64, 24))
+        assert (tp.cold_solves, tp.refinements) == (12, 178)
+        assert tp.loop_permutation() == (2, 1, 0, 3)
+        assert_separation_rule(tp)
