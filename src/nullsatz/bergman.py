@@ -122,14 +122,18 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
+def _log_base(domain: DomainSpec) -> float:
+    """log of the factor (2 pi)^2 / (p q) that every nu_ab shares."""
+    return 2.0 * math.log(2.0 * math.pi) - math.log(domain.p) - math.log(domain.q)
+
+
 def _log_norm(domain: DomainSpec, a, b):
     """log nu_ab, vectorized over integer arrays (or scalars) a, b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     alpha = (2.0 * a + 2.0) / domain.p
     beta = (2.0 * b + 2.0) / domain.q
-    base = 2.0 * math.log(2.0 * math.pi) - math.log(domain.p) - math.log(domain.q)
-    return base + _lgamma(alpha) + _lgamma(beta) - _lgamma(alpha + beta + 1.0)
+    return _log_base(domain) + _lgamma(alpha) + _lgamma(beta) - _lgamma(alpha + beta + 1.0)
 
 
 def monomial_norm(domain: DomainSpec, a: int, b: int) -> float:
@@ -556,6 +560,7 @@ def _dilation_norms(p: BiPoly, domain: DomainSpec, r_grid: tuple[float, ...]) ->
     below TAIL_TOL of it.  It is +inf once the windows overflow or rise
     GROW_RUN times in a row to a new maximum (a finite norm has shell sums
     tending to 0), and nan if neither happens within SHELL_CAP shells.
+    The one-variable log-gammas of nu_ab (_log_norm) are tabled once.
     """
     r = np.asarray(r_grid, dtype=np.float64)
     terms = p.complex_terms()
@@ -577,6 +582,9 @@ def _dilation_norms(p: BiPoly, domain: DomainSpec, r_grid: tuple[float, ...]) ->
     value, open_ = np.full(r.size, math.nan), np.ones(r.size, dtype=bool)
     window, best, rises = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
     prev = np.full(r.size, math.nan)
+    k = np.arange(SHELL_CAP + 1, dtype=np.float64)
+    alpha, beta = (2.0 * k + 2.0) / domain.p, (2.0 * k + 2.0) / domain.q
+    head, lg_beta = _log_base(domain) + _lgamma(alpha), _lgamma(beta)  # _log_norm's order
     with np.errstate(all="ignore"):
         for s in range(1, SHELL_CAP + 1):
             rows, a = s - deg + D, np.arange(s + 1)
@@ -588,7 +596,7 @@ def _dilation_norms(p: BiPoly, domain: DomainSpec, r_grid: tuple[float, ...]) ->
                 if (size := np.abs(acc).max()) > 0.0:
                     G[D + s, D : D + s + 1], L[D + s] = acc / size, top + math.log(size)
                 H = (hfac * e * np.exp(np.outer(logr, s - deg))) @ X
-                lognu = _log_norm(domain, a, s - a)
+                lognu = head[a] + lg_beta[s - a] - _lgamma(alpha[a] + beta[s - a] + 1.0)
                 nu_top = lognu.max()
                 log_shell = np.log(np.abs(H) ** 2 @ np.exp(lognu - nu_top)) + nu_top
                 window += np.exp(log_shell + 2.0 * top - 2.0 * (ma + mb) * logr)

@@ -34,6 +34,7 @@ from .rootfind import (
     RootFindError,
     TrackError,
     _fiber_at,
+    _horner,
     _horner2,
     _nearest_pairing,
     all_roots,
@@ -134,6 +135,15 @@ class VarietyDecomposition:
 # ---------------------------------------------------------------------------
 
 
+def _drop_near(zs) -> list[complex]:
+    """zs in order, less each value within POINT_CLUSTER of one kept before it."""
+    out: list[complex] = []
+    for z in zs:
+        if all(abs(z - o) > POINT_CLUSTER for o in out):
+            out.append(z)
+    return out
+
+
 def _distinct_roots(u: BiPoly) -> list[complex]:
     """Distinct roots of u, a polynomial in z1 alone, after exact square-free
     deflation.
@@ -152,11 +162,7 @@ def _distinct_roots(u: BiPoly) -> list[complex]:
         roots = all_roots(u)
     except RootFindError as exc:
         raise DecomposeError(f"root solve failed: {exc}") from exc
-    out: list[complex] = []
-    for r in roots:
-        if all(abs(r - o) > POINT_CLUSTER for o in out):
-            out.append(r)
-    return out
+    return _drop_near(roots)
 
 
 def _vertical_components(parent: BiPoly, cont: BiPoly) -> list[CurveComponent]:
@@ -194,11 +200,7 @@ def _branch_candidates(pp: BiPoly) -> list[complex]:
     lc = pp.z2_coeffs()[-1]
     if lc.deg1 >= 1:
         pts.extend(_distinct_roots(lc))
-    out: list[complex] = []
-    for z in pts:
-        if all(abs(z - o) > POINT_CLUSTER for o in out):
-            out.append(z)
-    return sorted(out, key=lambda z: (z.real, z.imag))
+    return sorted(_drop_near(pts), key=lambda z: (z.real, z.imag))
 
 
 class _UnionFind:
@@ -404,52 +406,29 @@ def decompose_curve(
 # ---------------------------------------------------------------------------
 
 
-def _row_stack(polys: list[BiPoly]) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of polys, zero-padded to one stack and split into its
-    real and imaginary parts: [p, b, a] multiplies z1^a z2^b in polys[p]."""
+def _row_stack(polys: list[BiPoly]) -> np.ndarray:
+    """The coefficients of polys, zero-padded to one stack: [a, b, p, 0]
+    multiplies z1^a z2^b in polys[p].
+
+    _horner(_horner(stack, x1), x2) evaluates every polynomial at the points
+    (x1[i], x2[i]), in z1 along each z2-row and then in z2 as BiPoly.eval
+    does, as an array of shape (polynomials, points).  It gives _horner2's
+    bits in two passes over the stack instead of one per z2-row, in under
+    half the time on the solver's few points.
+    """
     mats = [g.coeff_matrix() for g in polys]
     stack = np.zeros(
-        (len(mats), max(m.shape[1] for m in mats), max(m.shape[0] for m in mats)),
+        (max(m.shape[0] for m in mats), max(m.shape[1] for m in mats), len(mats), 1),
         dtype=np.complex128,
     )
     for p, m in enumerate(mats):
-        stack[p, : m.shape[1], : m.shape[0]] = m.T
-    return np.ascontiguousarray(stack.real), np.ascontiguousarray(stack.imag)
-
-
-def _eval_stack(
-    re: np.ndarray, im: np.ndarray, x1: np.ndarray, x2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every polynomial of a _row_stack at the points (x1[i], x2[i]): the real
-    and imaginary parts of the values, each of shape (polynomials, points).
-
-    The double Horner of BiPoly.eval (in z1 along each z2-row, then in z2
-    over the row values), run on split parts in the order of CPython's
-    complex product and sum, so every float equals BiPoly.eval's at a finite
-    point.  numpy's complex multiply rounds differently (in about two of
-    five random products), so rootfind._horner would move the refined
-    points.  The zero padding only adds leading steps that keep the sum +0.
-    """
-    x1r, x1i, x2r, x2i = x1.real, x1.imag, x2.real, x2.imag
-    rr = np.zeros(re.shape[:2] + x1.shape)
-    ri = np.zeros_like(rr)
-    for a in range(re.shape[2] - 1, -1, -1):
-        rr, ri = (
-            (rr * x1r - ri * x1i) + re[:, :, a, None],
-            (rr * x1i + ri * x1r) + im[:, :, a, None],
-        )
-    vr = np.zeros(re.shape[:1] + x1.shape)
-    vi = np.zeros_like(vr)
-    for b in range(re.shape[1] - 1, -1, -1):
-        vr, vi = (vr * x2r - vi * x2i) + rr[:, b], (vr * x2i + vi * x2r) + ri[:, b]
-    return vr, vi
+        stack[: m.shape[0], : m.shape[1], p, 0] = m
+    return stack
 
 
 @np.errstate(all="ignore")
 def _refine_points(
-    system: tuple[np.ndarray, np.ndarray],
-    gens: tuple[np.ndarray, np.ndarray],
-    starts: np.ndarray,
+    system: np.ndarray, gens: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton on gA = gB = 0 from every start (z1, z2) at once, then every
     generator's residual |g| at each result.
@@ -457,12 +436,10 @@ def _refine_points(
     system is the _row_stack of gA, gB, d/dz1 gA, d/dz2 gA, d/dz1 gB and
     d/dz2 gB; gens that of the generators.  Returns the points (n, 2) and
     the residuals (generators, n).  A start stops, without a step, once its
-    Jacobian determinant falls below the guard; after a step below 1e-15
-    relative; or after NEWTON_ITERS iterations.  Each start comes out bit
-    for bit as it would refined alone with complex scalars: the determinant
-    takes separately rounded products, |det| is hypot, the guard squares by
-    libm pow as a float64 scalar does, and LAPACK solves each 2x2 system of
-    the stack on its own.  A start that diverges overflows silently.
+    Jacobian determinant falls below the guard 1e-14 (1 + max|J|)^2; after a
+    step below 1e-15 relative; or after NEWTON_ITERS iterations.  Rows never
+    interact, so each start comes out as it would refined alone.  A start
+    that diverges overflows silently.
     """
     z = starts.copy()
     act = np.arange(len(z))
@@ -470,27 +447,18 @@ def _refine_points(
         if not act.size:
             break
         za = z[act]
-        vr, vi = _eval_stack(*system, za[:, 0], za[:, 1])
-        v = np.empty(vr.shape, dtype=np.complex128)
-        v.real, v.imag = vr, vi
+        v = _horner(_horner(system, za[:, 0]), za[:, 1])
         F = v[:2].T
         J = v[2:].T.reshape(-1, 2, 2)  # rows (A1, A2) and (B1, B2)
-        (a_r, b_r, c_r, d_r), (a_i, b_i, c_i, d_i) = vr[2:], vi[2:]
-        det_abs = np.hypot(
-            (a_r * d_r - a_i * d_i) - (b_r * c_r - b_i * c_i),
-            (a_r * d_i + a_i * d_r) - (b_r * c_i + b_i * c_r),
-        )
-        guard = np.array([(1.0 + m) ** 2 for m in np.abs(J).max(axis=(1, 2))])
-        go = ~(det_abs < 1e-14 * guard)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        guard = (1.0 + np.abs(J).max(axis=(1, 2))) ** 2
+        go = ~(np.abs(det) < 1e-14 * guard)
         act, za = act[go], za[go]
-        if not act.size:
-            break
         step = np.linalg.solve(J[go], F[go][:, :, None])[:, :, 0]
         za = za - step
         z[act] = za
         act = act[~(np.abs(step).max(axis=1) < 1e-15 * (1.0 + np.abs(za).max(axis=1)))]
-    gr, gi = _eval_stack(*gens, z[:, 0], z[:, 1])
-    return z, np.hypot(gr, gi)
+    return z, np.abs(_horner(_horner(gens, z[:, 0]), z[:, 1]))
 
 
 def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
@@ -572,17 +540,13 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
     system = _row_stack([gA, gB, gA.deriv(1), gA.deriv(2), gB.deriv(1), gB.deriv(2)])
     points, resids = _refine_points(system, _row_stack(gens), starts)
 
-    limits = [TOL_POINT * g.coeff_scale() for g in gens]
+    limits = np.array([TOL_POINT * g.coeff_scale() for g in gens])
+    ok = (resids < limits[:, None]).all(axis=0)
     accepted: list[IsolatedPoint] = []
-    for zt, resid in zip(points.tolist(), resids.T.tolist()):
-        zt, resid = tuple(zt), tuple(resid)
-        if all(r < lim for r, lim in zip(resid, limits)):
-            if all(
-                max(abs(zt[0] - p.location[0]), abs(zt[1] - p.location[1]))
-                > POINT_CLUSTER
-                for p in accepted
-            ):
-                accepted.append(IsolatedPoint(location=zt, residuals=resid))
+    for (w1, w2), resid in zip(points[ok].tolist(), resids[:, ok].T.tolist()):
+        near = (max(abs(w1 - p.location[0]), abs(w2 - p.location[1])) for p in accepted)
+        if all(d > POINT_CLUSTER for d in near):
+            accepted.append(IsolatedPoint(location=(w1, w2), residuals=tuple(resid)))
     accepted.sort(
         key=lambda p: (
             p.location[0].real,

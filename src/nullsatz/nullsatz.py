@@ -34,6 +34,8 @@ from .rootfind import (
     TOL_RES,
     FiberPoly,
     TrackError,
+    _horner,
+    _horner_d,
     _nearest_pairing,
     segment_samples,
     solve_fibers,
@@ -68,6 +70,7 @@ _DESCENT_STEPS = 200
 _SHEET_TOL = 0.25
 _CORRECTOR_TOL = 1e-12
 _PHI_ROUNDING = 1e-14
+_POLISH_ITERS = 12  # the most Newton steps _newton_z2 takes
 
 
 @dataclass(frozen=True)
@@ -266,14 +269,10 @@ def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: n
     return min((_sheet_phis(fiber, domain, z1s[i], terms[i]) for i in blocks), key=lambda r: r[0])
 
 
-def _newton_z2(coeffs, z2: complex, iters: int = 12) -> complex:
-    """Polish a z2 root of an ascending univariate slice (a list of complex)."""
-    z2 = complex(z2)
-    for _ in range(iters):
-        f = df = 0j
-        for c in reversed(coeffs):
-            df = df * z2 + f
-            f = f * z2 + c
+def _newton_z2(coeffs, z2: complex) -> complex:
+    """Polish a z2 root of an ascending univariate slice (complex scalars)."""
+    for _ in range(_POLISH_ITERS):
+        f, df = _horner_d(coeffs, z2)
         if df == 0:
             break
         step = f / df
@@ -288,15 +287,7 @@ def _slice(cols: list[list[complex]], z1: complex):
 
     cols[b] lists the ascending z1-coefficients of the curve's z2^b term.
     """
-    rows, drows = [], []
-    for col in cols:
-        v = dv = 0j
-        for c in reversed(col):
-            dv = dv * z1 + v
-            v = v * z1 + c
-        rows.append(v)
-        drows.append(dv)
-    return rows, drows
+    return tuple(zip(*(_horner_d(col, z1) for col in cols)))
 
 
 def _pow_grad(z: complex, e: float) -> complex:
@@ -372,11 +363,8 @@ def _descend(cols, domain: DomainSpec, z1: complex, z2: complex, step: float):
         # (phi, w, g, G, |G|) at a converged point of the sheet, with G the
         # gradient the step follows (g, or its tangential part on the rim);
         # else None.  The caller catches overflow
-        f = fz1 = fz2 = 0j
-        for r, dr in zip(reversed(rows), reversed(drows)):
-            fz2 = fz2 * z2 + f
-            f = f * z2 + r
-            fz1 = fz1 * z2 + dr
+        f, fz2 = _horner_d(rows, z2)
+        fz1 = _horner(drows, z2)
         if fz2 == 0 or abs(f) > _CORRECTOR_TOL * abs(fz2) * (1.0 + abs(z2)):
             return None
         w = -fz1 / fz2

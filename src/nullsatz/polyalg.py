@@ -400,8 +400,9 @@ class BiPoly:
         """Evaluate at a point; exact for GaussRational inputs, complex otherwise.
 
         Horner in z1 along each z2-row, then in z2 over the row values;
-        decompose._eval_stack repeats this order on floats bit for bit.  The
-        exact path runs on the numerators and divides by d once at the end.
+        the point solver (decompose._row_stack) takes this order on numpy
+        complex arrays, where it agrees to rounding.  The exact path runs
+        on the numerators and divides by d once at the end.
         """
         d = self._den
         floats = isinstance(x1, (complex, float)) or isinstance(x2, (complex, float))

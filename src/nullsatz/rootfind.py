@@ -69,6 +69,15 @@ def _horner(coeffs: np.ndarray, x) -> np.ndarray:
     return acc
 
 
+def _horner_d(coeffs, x):
+    """(p(x), p'(x)) for ascending scalar coefficients, by one Horner pass."""
+    f = df = 0j
+    for c in reversed(coeffs):
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
 def _horner2(C: np.ndarray, z1, z2) -> np.ndarray:
     """sum C[a, b] z1^a z2^b at paired points z1, z2 (double Horner).
 

@@ -18,7 +18,9 @@ relative change of each number and the largest of each, and exits non-zero
 if anything other than a number changed (a verdict, status or note, a key,
 a list length).  The last digits of the floats depend on the numpy build
 and on the platform's libm (math.lgamma gives the monomial norms, and
-through them the dilation profiles).  The files were written with numpy 2.4
+through them the dilation profiles).  The point solver rounds like the rest
+of the numpy pipeline: its Horner runs on numpy complex arrays, so its
+points and residuals follow numpy's complex multiply, not CPython's.  The files were written with numpy 2.4
 on glibc 2.36, the numpy version .github/constraints.txt pins for the CI leg
 on Python 3.11, at the default BLAS thread count: under
 OPENBLAS_NUM_THREADS=1 LAPACK takes its single-thread QR path, and

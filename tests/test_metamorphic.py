@@ -3,9 +3,10 @@ depend on how the generators are written.
 
 Each test transforms seeded Gaussian-rational inputs in a way whose effect
 on the answer is known exactly (swapping arguments, scaling, adding a
-multiple of one generator to another, an exact rotation of z1) and checks
-that the answer moves exactly that way.  No oracle outside the package is
-needed.
+multiple of one generator to another, appending a product of generators,
+an exact rotation of z1 or z2, swapping z1 and z2 together with the
+domain's exponents) and checks that the answer moves exactly that way.  No
+oracle outside the package is needed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
 ROTATION = GaussRational(Fraction(3, 5), Fraction(4, 5))  # |u| = 1, exact
+Z2_ROTATION = GaussRational(Fraction(-5, 13), Fraction(12, 13))  # |u| = 1, exact
 DEMO_IDEALS = ("princ_half", "princ_two", "twolines", "mixed_ideal")
 DOMAINS = {"ball": DomainSpec.ball(), "1_3": DomainSpec(p=1.0, q=3.0)}
 
@@ -81,13 +83,14 @@ def z1_pairs(seed: int, count: int = 8) -> list[tuple[BiPoly, BiPoly]]:
     return out
 
 
-def rotate(f: BiPoly) -> BiPoly:
-    """f(u z1, z2) for the exact unit u = 3/5 + 4i/5."""
+def rotate(f: BiPoly, var: int = 1, u: GaussRational = ROTATION) -> BiPoly:
+    """f with z_var replaced by u z_var, for an exact unit u (3/5 + 4i/5 by
+    default)."""
     out = {}
-    for (a, b), c in f.terms.items():
-        for _ in range(a):
-            c = c * ROTATION
-        out[(a, b)] = c
+    for exps, c in f.terms.items():
+        for _ in range(exps[var - 1]):
+            c = c * u
+        out[exps] = c
     return BiPoly(out)
 
 
@@ -222,3 +225,96 @@ def test_classify_is_free_of_a_power_of_ten(ideal):
         c = GaussRational(Fraction(10) ** k)
         got = classify([g * c for g in gens], ball, with_certificate=False)
         assert (got.overall, len(got.results)) == (want.overall, len(want.results)), k
+
+
+def _dense_pair(seed: int, degree: int) -> list[BiPoly]:
+    """Two dense generators of total degree `degree`."""
+    rng = random.Random(seed)
+    return [
+        BiPoly({(a, b): gauss(rng) for a in range(degree + 1) for b in range(degree + 1 - a)})
+        for _ in range(2)
+    ]
+
+
+_HALF = Fraction(1, 2)
+# every kind of component: vertical and slanted lines, an irreducible conic
+# and cusp, a circle outside the domain, and isolated points alone
+# (a grid pulled back by a linear map, a dense pair) or beside a curve
+META_IDEALS = {
+    **{name: load_ideal(str(DATA / f"{name}.json")) for name in DEMO_IDEALS},
+    "four_points": SCALED_IDEALS["four_points"],
+    "grid": [
+        (Z1 + Z2 * Fraction(1, 4) - _HALF)
+        * (Z1 + Z2 * Fraction(1, 4) + GaussRational(Fraction(1, 4), Fraction(1, 3)))
+        * (Z1 + Z2 * Fraction(1, 4) - GaussRational(Fraction(3, 2), 1)),
+        (Z1 * GaussRational(Fraction(1, 8), Fraction(1, 4)) + Z2 - Fraction(1, 3))
+        * (Z1 * GaussRational(Fraction(1, 8), Fraction(1, 4)) + Z2 + GaussRational(0, Fraction(5, 4))),
+    ],
+    "dense_pair": _dense_pair(17, 4),
+    "conic_line": [(Z2**2 - Z1 + Fraction(1, 4)) * (Z2 - 2)],
+    "cusp": [Z2**2 - Z1**3 + Fraction(1, 8)],
+    "circle_out": [Z1**2 + Z2**2 - Fraction(9, 4)],
+}
+MIN_PHI_TOL = 1e-9
+
+# where the swapped ideal's min_phi is known to differ, and why
+SWAP_FAULTS = {
+    # after the swap the minimum, at z1 = 0, sits on a branch point of the
+    # projection to the new z1; the descent stalls short of it (ROADMAP,
+    # branch points), 1.2e-8 above on the ball and 1.1e-4 on Omega(1, 3)
+    ("cusp", "ball"): "the sheet descent stalls short of a minimum at a branch point",
+    ("cusp", "1_3"): "the sheet descent stalls short of a minimum at a branch point",
+    # the curve misses the domain and its minimum of phi lies at |z1| = 3/2,
+    # outside the |z1| <= 1 disk the search covers; swapped, the disk holds it
+    ("circle_out", "1_3"): "the min_phi of a missing curve is taken over |z1| <= 1 only",
+}
+
+
+def _profile(gens: list[BiPoly], domain: DomainSpec):
+    """(verdict, curve components, points) and the sorted min_phi values."""
+    v = classify(gens, domain, with_certificate=False)
+    kinds = [r.kind for r in v.results]
+    return (v.overall, kinds.count("curve"), kinds.count("point")), sorted(
+        r.min_phi for r in v.results
+    )
+
+
+def _same_answer(gens, other, domain, other_domain=None, fault=None):
+    want, want_phi = _profile(gens, domain)
+    got, got_phi = _profile(other, other_domain or domain)
+    assert got == want
+    diff = max((abs(a - b) for a, b in zip(got_phi, want_phi)), default=0.0)
+    if fault is not None and not diff <= MIN_PHI_TOL:
+        pytest.xfail(fault)
+    assert diff <= MIN_PHI_TOL, (got_phi, want_phi)
+
+
+@pytest.mark.parametrize("tag", sorted(DOMAINS))
+@pytest.mark.parametrize("ideal", sorted(META_IDEALS))
+def test_classify_is_symmetric_in_the_variables(ideal, tag):
+    # swapping z1 and z2 maps Omega(p, q) onto Omega(q, p)
+    gens, domain = META_IDEALS[ideal], DOMAINS[tag]
+    _same_answer(
+        gens,
+        [g.swap_vars() for g in gens],
+        domain,
+        DomainSpec(p=domain.q, q=domain.p),
+        fault=SWAP_FAULTS.get((ideal, tag)),
+    )
+
+
+@pytest.mark.parametrize("tag", sorted(DOMAINS))
+@pytest.mark.parametrize("ideal", sorted(META_IDEALS))
+def test_classify_is_free_of_a_rotation_of_z2(ideal, tag):
+    # z2 -> u z2 with |u| = 1 maps every Reinhardt domain onto itself
+    gens = META_IDEALS[ideal]
+    _same_answer(gens, [rotate(g, 2, Z2_ROTATION) for g in gens], DOMAINS[tag])
+
+
+@pytest.mark.parametrize("tag", sorted(DOMAINS))
+@pytest.mark.parametrize("ideal", sorted(META_IDEALS))
+def test_classify_is_free_of_an_appended_product(ideal, tag):
+    # the product of two generators (of the one generator with itself, for
+    # a principal ideal) already lies in the ideal
+    gens = META_IDEALS[ideal]
+    _same_answer(gens, [*gens, gens[0] * gens[-1]], DOMAINS[tag])

@@ -652,7 +652,7 @@ class TestClassify:
         assert classify([f], OMEGA11, with_certificate=False).overall == NEITHER
         newton = ns._newton_z2
         monkeypatch.setattr(
-            ns, "_newton_z2", lambda coeffs, z2, iters=12: newton(coeffs, 2.0 + 0j, iters)
+            ns, "_newton_z2", lambda coeffs, z2: newton(coeffs, 2.0 + 0j)
         )
         v = classify([f], OMEGA11, with_certificate=False)
         assert v.overall == INCONCLUSIVE

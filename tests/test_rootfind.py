@@ -31,6 +31,7 @@ from nullsatz.rootfind import (
     _fiber_at,
     _horner,
     _horner2,
+    _horner_d,
     _min_separation,
     _nearest_pairing,
     _step_ok,
@@ -220,6 +221,19 @@ class TestHorner:
                 w1, w2 = complex(wide_complex(rng, 1)[0]), complex(wide_complex(rng, 1)[0])
                 same_bits(_horner2(C, w1, w2), list_horner2(C, w1, w2))
                 same_bits(_horner2(C, w1, z2), list_horner2(C, w1, z2))
+
+    def test_horner_d_gives_the_value_and_the_derivative(self):
+        rng = np.random.default_rng(16)
+        for n in (0, 1, 2, 5, 9):
+            for _ in range(30):
+                a = [complex(v) for v in wide_complex(rng, n + 1)]
+                x = complex(rng.standard_normal(), rng.standard_normal())
+                f, df = _horner_d(a, x)
+                # the value takes _horner's steps on Python complex scalars
+                assert repr(f) == repr(_horner(a, x))
+                da = [k * c for k, c in enumerate(a)][1:] or [0j]
+                size = sum(k * abs(c) * abs(x) ** (k - 1) for k, c in enumerate(a) if k)
+                assert abs(df - _horner(da, x)) <= 1e-13 * (1.0 + size)
 
     def test_read_only_inputs_are_not_written(self):
         rng = np.random.default_rng(14)
