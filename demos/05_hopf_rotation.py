@@ -19,7 +19,8 @@ for f, name in [(Z1, "z1"), (Z1 * Z2, "z1*z2"), (Z1**2 + Z2**2 - 4, "z1^2 + z2^2
     rot = find_rotation(f, seed=0)
     print(f"f = {name}")
     print(f"  best circle direction a = {rot.a:.4f}, b = {rot.b:.4f}")
-    print(f"  min |f| on the circle = {rot.min_modulus:.6f}")
+    print(f"  min |f| on the circle = {rot.min_modulus:.6f} "
+          f"(certified >= {rot.min_modulus_lower:.6f})")
     print(f"  unitarity defect of the rotation = {rot.unitarity_defect():.2e}")
 
 # The rotated polynomial agrees with f composed with the unitary, so the

@@ -159,7 +159,7 @@ def cmd_hopf(args) -> int:
     rot = find_rotation(p, seed=cfg.seed, alpha_grid=cfg.alpha_grid)
     report = {"rotation": rot.to_json_dict()}
     lines = [
-        f"min circle modulus: {rot.min_modulus:.9g}",
+        f"min circle modulus: {rot.min_modulus:.9g} (certified >= {rot.min_modulus_lower:.9g})",
         f"(a, b) = ({rot.a:.6g}, {rot.b:.6g})",
     ]
     if args.ratio:

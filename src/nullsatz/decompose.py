@@ -547,15 +547,19 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
         near = (max(abs(w1 - p.location[0]), abs(w2 - p.location[1])) for p in accepted)
         if all(d > POINT_CLUSTER for d in near):
             accepted.append(IsolatedPoint(location=(w1, w2), residuals=tuple(resid)))
-    accepted.sort(
-        key=lambda p: (
-            p.location[0].real,
-            p.location[0].imag,
-            p.location[1].real,
-            p.location[1].imag,
-        )
-    )
+    accepted.sort(key=lambda p: _point_key(p.location))
     return accepted
+
+
+def _point_key(location: tuple[complex, complex]) -> tuple:
+    """Sort key of a point: (z1.real, z1.imag, z2.real, z2.imag) rounded to
+    the POINT_CLUSTER scale, then the same floats to break ties.
+
+    Coordinates that are equal in exact arithmetic compare equal whatever
+    their last bits, so the next coordinate decides their order.
+    """
+    parts = (location[0].real, location[0].imag, location[1].real, location[1].imag)
+    return tuple(round(x / POINT_CLUSTER) for x in parts) + parts
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ The dilation oracle is the quasi-Monte Carlo mean the density certificate
 used before it summed Taylor coefficients: volume-distributed points drawn
 through the two conditional Beta marginals of the gauge coordinates.
 
+The circle oracle evaluates f term by term at the points (a e^{it}, b e^{it})
+of a fine grid in t, with no Fourier coefficients and no FFT.
+
 ``FractionPoly`` and the ``ref_*`` functions are a frozen reference for the
 exact algebra: a polynomial as a {(a, b): GaussRational} dict with
 ``Fraction`` arithmetic throughout, the layout ``BiPoly`` had before it kept
@@ -72,6 +75,17 @@ def qmc_dilation_norm(p, domain, r: float, n: int = 100_000, seed: int = 0) -> f
     vals = np.abs(1.0 - ev(z1, z2) / ev(r * z1, r * z2)) ** 2
     volume = (2.0 * np.pi) ** 2 * gamma(a1) * gamma(a2) / (domain.p * domain.q * gamma(a1 + a2 + 1.0))
     return float(np.sqrt(volume * vals.mean()))
+
+
+def circle_modulus_oracle(f, a: complex, b: complex, t: np.ndarray) -> np.ndarray:
+    """|f(a e^{it}, b e^{it})| at each t, summed term by term from f.terms."""
+    w1, w2 = a * np.exp(1j * t), b * np.exp(1j * t)
+    return np.abs(sum(complex(c) * w1**j * w2**k for (j, k), c in f.terms.items()))
+
+
+def circle_min_oracle(f, a: complex, b: complex, n: int = 1 << 16) -> float:
+    """min over the n-point grid t = 2 pi m / n of |f(a e^{it}, b e^{it})|."""
+    return float(circle_modulus_oracle(f, a, b, 2.0 * np.pi * np.arange(n) / n).min())
 
 
 # ---------------------------------------------------------------------------

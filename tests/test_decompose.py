@@ -291,6 +291,15 @@ class TestZeroDimSolve:
     def test_inconsistent_system_is_empty(self):
         assert decompose_ideal([Z2, Z2 - 3]).points == ()
 
+    @pytest.mark.parametrize("moved", [0, 1])
+    @pytest.mark.parametrize("eps", [1e-14, -1e-14])
+    def test_points_tied_in_a_coordinate_keep_their_order(self, moved, eps):
+        # (1/2 - i/3, 1) comes before (1/2 + i/5, -1): their z1 real parts tie
+        # exactly, so z1.imag decides, however rounding moves one real part
+        pts = [(0.5 - 1j / 3, 1.0 + 0j), (0.5 + 0.2j, -1.0 + 0j)]
+        pts[moved] = (pts[moved][0] + eps, pts[moved][1])
+        assert sorted(reversed(pts), key=dec._point_key) == pts
+
     def test_tangential_intersection(self):
         pts = decompose_ideal([Z2**2 - Z1, Z2**2 + Z1]).points
         assert len(pts) == 1
