@@ -455,14 +455,16 @@ def ratio_sup(
     """Sampled sup over the closed domain of |p(z)/p(rz)| for each r.
 
     For p zero-free on the closure the sup must stay below 2^(deg1+deg2).
-    Near-zero denominators are recorded as bound-violation evidence; they
-    mean p vanishes somewhere in the domain and the hypothesis fails.
+    Near-zero denominators, below DENOM_FLOOR times the largest |p| over
+    the samples, are recorded as bound-violation evidence; they mean p
+    vanishes somewhere in the domain and the hypothesis fails.
     """
     if p.is_zero:
         raise ValueError("ratio_sup needs a nonzero polynomial")
     check_r_grid(r_grid)
     z1, z2 = sample_closure(domain, samples, seed)
     num = np.abs(eval_grid(p, z1, z2))
+    floor = DENOM_FLOOR * float(num.max())
     d = p.degree_sum()
     bound = float(2.0**d)
     sup = 0.0
@@ -470,7 +472,7 @@ def ratio_sup(
     violations: list[dict] = []
     for r in r_grid:
         den = np.abs(eval_grid(p, r * z1, r * z2))
-        tiny = den < DENOM_FLOOR
+        tiny = den < floor
         if np.any(tiny):
             for idx in np.nonzero(tiny)[0][:10]:
                 violations.append(

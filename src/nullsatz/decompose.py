@@ -331,7 +331,7 @@ def _build_components(
     fibers = np.empty((n, pp.deg2), dtype=np.complex128)
     for k in range(n):
         cols = None
-        if roots[k].size == pp.deg2 and conv[k].all():
+        if conv[k].all():
             cols = _nearest_pairing(np.abs(tracked[k][:, None] - roots[k][None, :]))
         if cols is None:
             raise DecomposeError(
@@ -522,9 +522,9 @@ def _solve_points(gens: list[BiPoly]) -> list[IsolatedPoint]:
             break
         roots, _ = solve_fibers(FiberPoly(g), alphas[pending])
         for i, r in zip(pending, roots):
-            if r.size:
-                betas[i] = r
-        pending = [i for i, r in zip(pending, roots) if not r.size]
+            if not np.isnan(r).all():
+                betas[i] = r[~np.isnan(r)]
+        pending = [i for i, r in zip(pending, roots) if np.isnan(r).all()]
     if pending and slicers:
         finite = np.zeros(len(pending), dtype=bool)
         for g in slicers:

@@ -418,7 +418,8 @@ def ball_ratio_sup(
 
     Only z1 is dilated: the ratio is |f(z1, z2)| / |f(r z1, z2)|.  The
     caller asserts f has no zeros with z1 = 0 on the closed ball (a rotation
-    from find_rotation arranges this); near-zero denominators are flagged as
+    from find_rotation arranges this); near-zero denominators, below
+    DENOM_FLOOR times the largest |f| over the samples, are flagged as
     evidence against that precondition rather than silently clipped.
     """
     if f.is_zero:
@@ -427,7 +428,7 @@ def ball_ratio_sup(
     ball = DomainSpec.ball()
     z1, z2 = sample_closure(ball, samples, seed)
     fvals = eval_grid(f, z1, z2)
-    scale = 1.0 + float(np.abs(fvals).max())
+    floor = DENOM_FLOOR * float(np.abs(fvals).max())
 
     sup = 0.0
     sup_point = (0j, 0j)
@@ -437,7 +438,7 @@ def ball_ratio_sup(
     for r in r_grid:
         den = eval_grid(f, r * z1, z2)
         aden = np.abs(den)
-        bad = aden < DENOM_FLOOR * scale
+        bad = aden < floor
         for idx in np.nonzero(bad)[0][:16]:
             flagged.append((complex(z1[idx]), complex(z2[idx]), float(r)))
         ok = ~bad

@@ -31,12 +31,12 @@ from .decompose import (
 )
 from .polyalg import BiPoly, content_pp_z2
 from .rootfind import (
-    TOL_RES,
     FiberPoly,
     TrackError,
     _horner,
     _horner_d,
     _nearest_pairing,
+    _root_floor,
     segment_samples,
     solve_fibers,
     track,
@@ -56,10 +56,6 @@ ONCOMP_TOL = 1e-6
 # every _COARSE_STRIDE-th grid sample is solved first to bound the minimum
 _COARSE_STRIDE = 16
 _SCAN_BLOCK = 2048  # kept samples solved at once, so the peak memory is bounded
-# the root-modulus floor of the grid scan: bisection steps past its
-# closed-form start, and the relative margin it is shrunk by
-_FLOOR_BISECTIONS = 6
-_FLOOR_MARGIN = 1e-9
 # the sheet descent stops once its step length falls below _STEP_MIN or after
 # _DESCENT_STEPS accepted steps.  A corrected z2 must land within _SHEET_TOL
 # of the step's length from its prediction, with a last Newton step below
@@ -189,60 +185,19 @@ def _sheet_phis(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: np
     the smallest gauge over all converged sheets; ties go to the first
     sample, then the first sheet.  (inf, None) when no sheet converged.
     """
+    # the padding past a degree drop never converges, so it never wins
     roots, conv = solve_fibers(fiber, z1s)
-    sizes = np.array([r.size for r in roots], dtype=np.intp)
-    width = int(sizes.max(initial=0))
-    if width == 0:
+    if not conv.any():
         return np.inf, None
-    # pad the ragged fibers into one (B, width) matrix; padding never converges
-    B = sizes.size
-    filled = np.arange(width) < sizes[:, None]
-    R = np.zeros((B, width), dtype=np.complex128)
-    ok = np.zeros((B, width), dtype=bool)
-    R[filled] = np.concatenate(roots)
-    ok[filled] = np.concatenate(conv)
     with np.errstate(all="ignore"):
-        phis = np.where(ok, terms.reshape(-1, 1) + np.abs(R) ** domain.q, np.inf)
+        phis = np.where(conv, terms.reshape(-1, 1) + np.abs(roots) ** domain.q, np.inf)
     j = np.argmin(phis, axis=1)
-    row_min = phis[np.arange(B), j]
+    row_min = phis[np.arange(j.size), j]
     row_min[~(row_min < np.inf)] = np.inf  # a row whose argmin is NaN never wins
     k = int(np.argmin(row_min))
     if not row_min[k] < np.inf:
         return np.inf, None
-    return float(row_min[k]), (complex(z1s[k]), complex(R[k, j[k]]))
-
-
-def _root_floor(rows: np.ndarray) -> np.ndarray:
-    """A lower bound on |z2| over the converged roots of each coefficient row.
-
-    rows: (B, m+1) ascending z2-coefficients a_0..a_m, m >= 1.  A root that
-    _aberth_sweep accepts has |p(x)| <= eps = TOL_RES * (1 + max|a_k|), so
-    S(|x|) >= |a_0| - eps for S(r) = sum_{k>=1} |a_k| r^k (Cauchy's lower
-    bound, with the accepted residual taken off |a_0|); any r with
-    S(r) < |a_0| - eps is therefore below |x|.  The search starts at
-    min_k ((|a_0| - eps) / (m |a_k|))^(1/k), where S is at most |a_0| - eps,
-    and bisects toward min_k ((|a_0| - eps) / |a_k|)^(1/k), moving only to
-    points where S is still below.  The result is shrunk by _FLOOR_MARGIN to
-    absorb rounding; a row whose floor comes out NaN or negative (|a_0| at
-    most eps) gets 0, and a row with no z2 terms gets inf, as it has no
-    roots.  Stripping a degenerate leading coefficient (solve_fibers) only
-    lowers S, so the floor holds for the truncated row too.
-    """
-    mag = np.abs(rows)
-    a0 = mag[:, 0] - TOL_RES * (1.0 + mag.max(axis=1))
-    ak = mag[:, 1:]
-    m = ak.shape[1]
-    k = np.arange(1, m + 1)
-    with np.errstate(all="ignore"):
-        lo = np.min((a0[:, None] / (m * ak)) ** (1.0 / k), axis=1)
-        hi = np.min((a0[:, None] / ak) ** (1.0 / k), axis=1)
-        for _ in range(_FLOOR_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            below = np.sum(ak * mid[:, None] ** k, axis=1) < a0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        r = lo * (1.0 - _FLOOR_MARGIN)
-    return np.where(r > 0.0, r, 0.0)
+    return float(row_min[k]), (complex(z1s[k]), complex(roots[k, j[k]]))
 
 
 def _pruned_scan(fiber: FiberPoly, domain: DomainSpec, z1s: np.ndarray, terms: np.ndarray):
@@ -443,7 +398,7 @@ def _continuation_check(
             continue
         true_sheets = tracked.end[list(comp.orbit)]
         roots, conv = solve_fibers(fiber, np.array([target]))
-        interp_sheets = roots[0][conv[0]]
+        interp_sheets = roots[conv]
         if interp_sheets.size != true_sheets.size:
             continue
         cost = np.abs(interp_sheets[:, None] - true_sheets[None, :])
@@ -509,7 +464,7 @@ def intersect_curve(
     cols = pp.coeff_matrix().T.tolist()
     z1g, z2g = best
     roots, conv = solve_fibers(fiber, np.array([z1g]))
-    others = roots[0][conv[0]]
+    others = roots[conv]
     starts = [z2g, *others[np.argsort(np.abs(others - z2g))[1:]].tolist()]
     rows = _slice(cols, z1g)[0]
     ends = []

@@ -259,33 +259,69 @@ class FiberPoly:
         return self.coeff_rows(np.array([z1]))[0]
 
 
-def solve_fibers(fp: FiberPoly, z1s: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def solve_fibers(fp: FiberPoly, z1s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots in z2 above each z1 sample; tolerant of degree drops.
 
-    Near-vanishing leading coefficients are stripped (those roots escape to
-    infinity and carry no information about bounded domains).  Returns ragged
-    lists (roots_i, converged_i) aligned with z1s.
+    Leading coefficients at most LEAD_DEGENERACY times the row's largest
+    are stripped (those roots escape to infinity and carry no information
+    about bounded domains), leaving d_i roots above z1s[i].  Returns
+    (roots, converged), two (B, deg2) arrays aligned with z1s: row i holds
+    the d_i roots in _aberth_batch's order, then nan entries that are never
+    converged.  Each row is bit for bit the row of z1s[i] solved alone.
     """
     z1s = np.asarray(z1s, dtype=np.complex128).ravel()
     rows = fp.coeff_rows(z1s)
-    B = z1s.size
     norms = np.max(np.abs(rows), axis=1)
     # effective degree: the top coefficient above the degeneracy threshold
     kept = ~(np.abs(rows) <= LEAD_DEGENERACY * norms[:, None])
     eff_deg = np.where(kept.any(axis=1), fp.deg2 - np.argmax(kept[:, ::-1], axis=1), -1)
 
-    roots_out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * B
-    conv_out: list[np.ndarray] = [np.empty(0, dtype=bool)] * B
+    roots = np.full((z1s.size, fp.deg2), np.nan, dtype=np.complex128)
+    converged = np.zeros(roots.shape, dtype=bool)
     for d in np.unique(eff_deg):
         if d < 1:
             continue
-        sel = np.nonzero(eff_deg == d)[0]
-        batch = rows[sel, : d + 1]
-        r, _, ok = _aberth_batch(batch)
-        for i, r_i, ok_i in zip(sel.tolist(), r, ok):
-            roots_out[i] = r_i
-            conv_out[i] = ok_i
-    return roots_out, conv_out
+        sel = np.flatnonzero(eff_deg == d)
+        roots[sel, :d], _, converged[sel, :d] = _aberth_batch(rows[sel, : d + 1])
+    return roots, converged
+
+
+_FLOOR_BISECTIONS = 6  # bisection steps of _root_floor past its closed-form start
+_FLOOR_MARGIN = 1e-9  # the relative margin _root_floor is shrunk by
+
+
+def _root_floor(rows: np.ndarray) -> np.ndarray:
+    """A lower bound on |z2| over the converged roots of each coefficient row.
+
+    rows: (B, m+1) ascending z2-coefficients a_0..a_m, m >= 1.  A root that
+    _aberth_sweep accepts has |p(x)| <= eps = TOL_RES * (1 + max|a_k|), so
+    S(|x|) >= |a_0| - eps for S(r) = sum_{k>=1} |a_k| r^k (Cauchy's lower
+    bound, with the accepted residual taken off |a_0|); any r with
+    S(r) < |a_0| - eps is therefore below |x|.  The search starts at
+    min_k ((|a_0| - eps) / (m |a_k|))^(1/k), where S is at most
+    |a_0| - eps, and bisects toward min_k ((|a_0| - eps) / |a_k|)^(1/k),
+    moving only to points where S is still below.  The result is shrunk by
+    _FLOOR_MARGIN to absorb rounding; a row whose floor comes out NaN or
+    negative (|a_0| at most eps) gets 0, and a row with no z2 terms gets
+    inf, as it has no roots.  solve_fibers strips degenerate leading
+    coefficients first; that drops terms of S and keeps max|a_k|, hence
+    eps, so the floor holds for the stripped row too.
+    """
+    mag = np.abs(rows)
+    a0 = mag[:, 0] - TOL_RES * (1.0 + mag.max(axis=1))
+    ak = mag[:, 1:]
+    m = ak.shape[1]
+    k = np.arange(1, m + 1)
+    with np.errstate(all="ignore"):
+        lo = np.min((a0[:, None] / (m * ak)) ** (1.0 / k), axis=1)
+        hi = np.min((a0[:, None] / ak) ** (1.0 / k), axis=1)
+        for _ in range(_FLOOR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = np.sum(ak * mid[:, None] ** k, axis=1) < a0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        r = lo * (1.0 - _FLOOR_MARGIN)
+    return np.where(r > 0.0, r, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +422,30 @@ def _min_separation(roots: np.ndarray) -> float:
     return float(d.min())
 
 
-def _step_ok(cur: np.ndarray, new: np.ndarray, cur_sep: float | None = None) -> bool:
+def _step_ok(cur: np.ndarray, new: np.ndarray, cur_sep: float) -> bool:
     """The separation rule: no root of an aligned step moves half a gap.
 
-    cur_sep, when given, is _min_separation(cur), which the tracker keeps
-    once per accepted fiber.
+    cur_sep is _min_separation(cur), which the tracker keeps once per
+    accepted fiber.
     """
     moved = float(np.max(np.abs(cur - new)))
-    if cur_sep is None:
-        cur_sep = _min_separation(cur)
     sep = min(cur_sep, _min_separation(new))
     return moved < SEPARATION_FACTOR * sep
 
 
 def _fiber_at(fp: FiberPoly, z1: complex) -> np.ndarray:
-    row = fp.coeffs_at(z1)
-    top = np.max(np.abs(row))
-    if top == 0 or abs(row[-1]) <= LEAD_DEGENERACY * top:
+    """The full fiber over z1, solved cold: solve_fibers at one point.
+
+    Raises TrackError when the row is padded, as its leading coefficient
+    degenerates, or when a root does not converge.
+    """
+    roots, converged = solve_fibers(fp, np.array([z1]))
+    if np.isnan(roots[0, -1]):
         raise TrackError(
             f"leading z2-coefficient degenerates at z1={z1:.6g}; "
             "path passes too close to a pole of the fiber"
         )
-    roots, res, ok = _aberth_batch(row[None, :])
-    if not ok.all():
+    if not converged.all():
         raise TrackError(f"fiber solve failed to converge at z1={z1:.6g}")
     return roots[0]
 

@@ -40,6 +40,20 @@ COMPONENT_COUNTS = [
     ((Z2**2 - Z1) * (Z2 + 2), 2),
     ((Z2 - Z1) * (Z2 + Z1) * (Z2 - 2 * Z1), 3),
     (Z2**3 - Z1**2, 1),
+    # irreducible curves even in z2: their sheets come in pairs {s, -s}
+    (Z2**4 - Z1 * Z2**2 - 1, 1),
+    (Z2**4 + Z1**4 - 1, 1),
+    (Z2**4 - Z1**2 * Z2**2 + Z1 - 2, 1),
+    # every branch point far from the unit disk
+    (Z2**2 - (Z1 - 100) * (Z1 - 101), 1),
+    ((Z2**2 - (Z1 - 100) * (Z1 - 101)) * (Z2 - Fraction(1, 2)), 2),
+    # products whose vertical lines are not a generic pencil: a leading
+    # z2-coefficient that vanishes, or a total degree above the z2-degree
+    ((Z2**2 - Z1**3 - 1) * (Z2 - 2), 2),
+    ((Z1 * Z2**2 - 1) * (Z2 + 2), 2),
+    ((Z1 * Z2 - 1) * (Z2**2 - Z1), 2),
+    ((Z2**2 - Z1**3 + Fraction(1, 8)) * (Z2**2 - Z1 - 3), 2),
+    ((Z1**2 * Z2**2 - 2) * (Z2 - Z1**2), 3),  # z1 z2 = +-sqrt(2) and a parabola
 ]
 
 
@@ -492,8 +506,9 @@ def _ref_solve_points(gens, exits):
             if fpg is None:
                 continue
             roots, _ = solve_fibers(fpg, np.array([alpha]))
-            if roots[0].size:
-                beta_cands = list(roots[0])
+            solved = roots[0][~np.isnan(roots[0])]
+            if solved.size:
+                beta_cands = list(solved)
                 break
         if beta_cands is None:
             exits.append("beta = 0")

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from nullsatz.bergman import DomainSpec
+from nullsatz.bergman import DomainSpec, ratio_sup
+from nullsatz.hopf import ball_ratio_sup
 from nullsatz.nullsatz import classify
 from nullsatz.polyalg import (
     BiPoly,
@@ -225,6 +226,21 @@ def test_classify_is_free_of_a_power_of_ten(ideal):
         c = GaussRational(Fraction(10) ** k)
         got = classify([g * c for g in gens], ball, with_certificate=False)
         assert (got.overall, len(got.results)) == (want.overall, len(want.results)), k
+
+
+@pytest.mark.parametrize("k", [-15, 15])
+def test_ratio_sups_are_free_of_a_power_of_ten(k):
+    # zero-free on the closed ball; the near-zero floor on the denominators
+    # must scale with the polynomial, or a tiny multiple reads as vanishing
+    f = Z1 - 2 + Z2 * GaussRational(Fraction(1, 3))
+    c = GaussRational(Fraction(10) ** k)
+    ball = DOMAINS["ball"]
+    want, got = ratio_sup(f, ball), ratio_sup(f * c, ball)
+    assert want.passed and got.passed and not got.violations
+    assert got.sup == pytest.approx(want.sup, rel=1e-12)
+    want, got = ball_ratio_sup(f), ball_ratio_sup(f * c)
+    assert want.finite and got.finite
+    assert got.sup == pytest.approx(want.sup, rel=1e-12)
 
 
 def _dense_pair(seed: int, degree: int) -> list[BiPoly]:

@@ -26,7 +26,7 @@ from nullsatz.nullsatz import (
     intersect_point,
 )
 from nullsatz.polyalg import BiPoly, GaussRational
-from nullsatz.rootfind import TOL_RES, FiberPoly, solve_fibers
+from nullsatz.rootfind import TOL_RES, FiberPoly, _root_floor, solve_fibers
 
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
@@ -243,7 +243,7 @@ class TestSheetScan:
         fiber = FiberPoly((Z1 - Fraction(1, 2)) * Z2**2 + Z2 - Z1)
         grid = ns._disk_grid(0.05)
         roots, _ = solve_fibers(fiber, grid)
-        assert {r.size for r in roots} == {1, 2}
+        assert set(np.count_nonzero(~np.isnan(roots), axis=1).tolist()) == {1, 2}
         self.assert_same_as_loop(fiber, domain, grid)
 
     @pytest.mark.parametrize("domain", [BALL, OMEGA11, OMEGA13, OMEGA31])
@@ -436,7 +436,7 @@ class TestRootFloor:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_below_every_converged_root(self, seed):
         for row in random_rows(seed):
-            floor = ns._root_floor(row[None, :])[0]
+            floor = _root_floor(row[None, :])[0]
             roots, conv = solve_fibers(FiberPoly(row[None, :]), np.zeros(1))
             assert np.all(np.abs(roots[0][conv[0]]) >= floor), row
 
@@ -445,7 +445,7 @@ class TestRootFloor:
         # _aberth_sweep accepts any z2 with |p(z2)| <= TOL_RES * (1 + max|a_k|),
         # so the floor must stay below the exact radius where that can start
         for row in random_rows(seed):
-            floor = ns._root_floor(row[None, :])[0]
+            floor = _root_floor(row[None, :])[0]
             exact = accept_radius(row)
             assert floor <= exact, row
             if 0 < exact < np.inf:  # and no looser than the closed-form start
@@ -453,7 +453,7 @@ class TestRootFloor:
 
     def test_zero_constant_term_and_no_z2_terms(self):
         rows = np.array([[0, 1, 1], [1e-11, 1, 0], [2, 0, 0], [0, 0, 0]], dtype=np.complex128)
-        floor = ns._root_floor(rows)
+        floor = _root_floor(rows)
         assert floor[0] == floor[1] == floor[3] == 0.0
         assert floor[2] == np.inf
 

@@ -386,12 +386,14 @@ class TestSolveFibers:
         assert all(c.all() for c in conv)
 
     def test_degree_drop_strips_escaping_root(self):
-        # z1*z2 - 1: above z1=0 the root escapes; fiber must come back empty
+        # z1*z2 - 1: above z1=0 the root escapes; the row holds padding only
         fp = FiberPoly(Z1 * Z2 - 1)
-        roots, _ = solve_fibers(fp, np.array([0.0 + 0j]))
-        assert roots[0].size == 0
-        roots, _ = solve_fibers(fp, np.array([2.0 + 0j]))
+        roots, conv = solve_fibers(fp, np.array([0.0 + 0j]))
+        assert roots.shape == conv.shape == (1, 1)
+        assert np.isnan(roots).all() and not conv.any()
+        roots, conv = solve_fibers(fp, np.array([2.0 + 0j]))
         assert_same_multiset(roots[0], [0.5], tol=1e-10)
+        assert conv.all()
 
     def test_batch_matches_single(self):
         rng = random.Random(3)
@@ -401,10 +403,10 @@ class TestSolveFibers:
             [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(50)]
         )
         batch, conv = solve_fibers(fp, z1s)
-        assert all(c.all() for c in conv)
+        assert conv.all()
         for i, z1 in enumerate(z1s):
-            single = _fiber_at(fp, z1)
-            assert_same_multiset(batch[i], single, tol=1e-7)
+            # _fiber_at is solve_fibers at one point, and rows never interact
+            assert _fiber_at(fp, z1).tobytes() == batch[i].tobytes()
 
 
     def test_stack_equals_one_call_per_z1(self):
@@ -427,11 +429,48 @@ class TestSolveFibers:
         w1s = np.concatenate([[1.0, -1.0], nrng.normal(size=20) + 0j])
         for fp, xs, sizes in ((FiberPoly(f), z1s, {1, 2, 3}), (FiberPoly(C), w1s, {3, 4})):
             roots, conv = solve_fibers(fp, xs)
-            assert {r.size for r in roots} == sizes
+            assert set(np.count_nonzero(~np.isnan(roots), axis=1).tolist()) == sizes
             for i in range(xs.size):
                 alone, alone_conv = solve_fibers(fp, xs[i : i + 1])
                 assert roots[i].tobytes() == alone[0].tobytes()
                 assert conv[i].tobytes() == alone_conv[0].tobytes()
+
+    def test_rows_are_padded_past_the_effective_degree(self):
+        # the leading z2-coefficients (z1 - 1)(z1 + 2) and z1 - 1 strip one
+        # root at z1 = -2 and two at z1 = 1; every row is deg2 = 3 wide
+        f = (Z1 - 1) * (Z1 + 2) * Z2**3 + (Z1 - 1) * Z2**2 + (Z1**2 + 1) * Z2 + Z1 - 3
+        fp = FiberPoly(f)
+        z1s = np.array([1.0, 0.5j, -2.0, 0.25 - 1j, 1.0], dtype=np.complex128)
+        roots, conv = solve_fibers(fp, z1s)
+        assert roots.shape == conv.shape == (5, 3)
+        assert roots.dtype == np.complex128 and conv.dtype == bool
+        for i, d in enumerate([1, 3, 2, 3, 1]):
+            assert not np.isnan(roots[i, :d]).any() and conv[i, :d].all()
+            assert np.isnan(roots[i, d:]).all() and not conv[i, d:].any()
+        roots, conv = solve_fibers(fp, np.empty(0))
+        assert roots.shape == conv.shape == (0, 3)
+
+
+class TestFiberAt:
+    """The two TrackError checks _fiber_at makes on its solve_fibers row."""
+
+    def test_degenerate_lead_message(self):
+        fp = FiberPoly(Z1 * Z2**2 + Z2 - 1)
+        msg = (
+            "leading z2-coefficient degenerates at z1=0+0j; "
+            "path passes too close to a pole of the fiber"
+        )
+        with pytest.raises(TrackError) as err:
+            _fiber_at(fp, 0j)
+        assert str(err.value) == msg
+
+    def test_unconverged_message(self, monkeypatch):
+        # no sweeps at all: no root of a quadratic converges
+        monkeypatch.setattr(rootfind, "MAX_SWEEPS", 0)
+        fp = FiberPoly(Z2**2 - Z1)
+        with pytest.raises(TrackError) as err:
+            _fiber_at(fp, 0.5 + 0j)
+        assert str(err.value) == "fiber solve failed to converge at z1=0.5+0j"
 
 
 class TestPathHelpers:
@@ -562,7 +601,7 @@ class TestNearestPairing:
             moved = cur + radius * np.exp(2j * np.pi * rng.uniform(size=m))
             new = np.empty(m, dtype=complex)
             new[perm] = moved  # new[perm[i]] continues cur[i]
-            if not _step_ok(cur, moved):
+            if not _step_ok(cur, moved, _min_separation(cur)):
                 continue
             cost = np.abs(cur[:, None] - new[None, :])
             rows, cols = linear_sum_assignment(cost)
@@ -701,7 +740,7 @@ class TestWarmTracker:
         tp = track(Z2**2 - Z1**2, path, fiber0=fiber0)
         z1, out = corrected[1]
         assert z1 == 0.3 and out is not None
-        assert not _step_ok(tp.fibers[1], out)
+        assert not _step_ok(tp.fibers[1], out, _min_separation(tp.fibers[1]))
         assert tp.refinements > 0
         assert cold == [path[-1]] and tp.cold_solves == 1
         assert_separation_rule(tp)
