@@ -13,9 +13,10 @@ DATA = Path(__file__).resolve().parent / "data"
 Z1 = BiPoly.var(1)
 Z2 = BiPoly.var(2)
 
-# A reducible curve: z2^2 - z1^2 = (z2 - z1)(z2 + z1).  The monodromy of
-# the sheets over a loop around each branch point decides which sheets
-# belong to the same irreducible component.
+# A reducible curve: z2^2 - z1^2 = (z2 - z1)(z2 + z1).  The linear trace
+# test decides which sheets belong to the same irreducible component: over
+# parallel lines the sum of a component's points moves affinely, and the
+# sum over any other set of sheets does not.
 g = load_poly(str(DATA / "twolines.json"))
 comps = decompose_curve(g, seed=0)
 print(f"z2^2 - z1^2 splits into {len(comps)} components")
@@ -25,10 +26,10 @@ for i, c in enumerate(comps):
           f"z2 = {w2:.4f}")
 
 # A cusp looks reducible to the eye (the discriminant is a fourth power)
-# but the loop permutation joins both sheets into one orbit.
+# but no proper set of its sheets passes the trace test.
 cusp = decompose_curve(Z2**3 - Z1**2, seed=0)
 print(f"z2^3 - z1^2 stays irreducible: {len(cusp)} component, "
-      f"orbit {cusp[0].orbit}")
+      f"sheets {cusp[0].orbit}")
 
 # An ideal with two generators: the gcd carries the common curve, and the
 # leftover cofactors cut out finitely many extra points.

@@ -2,13 +2,20 @@
 
 The curve part of V(ideal) is the gcd of the generators; its square-free
 factors are computed exactly, then each factor splits into vertical lines
-(roots of the z1-content) and a z2-primitive part whose irreducible
-components are recovered as monodromy orbits: the z2-sheets over a generic
-base point are carried around every branch point, and sheets that exchange
-belong to the same component.  The point part comes from resultant
-elimination plus one batched Newton refinement on the residual generators.
+(roots of the z1-content) and a z2-primitive part pp whose irreducible
+components are found by the linear trace test (Sommese, Verschelde &
+Wampler, SIAM J. Numer. Anal. 40(6), 2002).  The test runs in sheared
+coordinates, G(t, w) = pp(t + mu w, w) for an exact slope mu at which no
+line t = const meets the curve at infinity: over such a pencil the sum of
+w over the points of a union of components is affine in t, and over any
+other set of points it is not.  One tracked path labels the z2-sheets over
+a random base point by G's columns and carries them to three test lines;
+the least sets of columns whose sums have a zero second difference are the
+components.  Each component's polynomial is then fitted on |z1| = 1.  The
+point part comes from resultant elimination plus one batched Newton
+refinement on the residual generators.
 
-Float geometry never feeds back into exact algebra: orbits and witness
+Float geometry never feeds back into exact algebra: sheet sets and witness
 points are numeric evidence attached to exactly-known parent factors.
 """
 
@@ -16,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .polyalg import (
     BiPoly,
+    GaussRational,
     content_pp_z2,
     exact_div,
     gcd2,
@@ -39,7 +48,6 @@ from .rootfind import (
     _nearest_pairing,
     all_roots,
     circle_samples,
-    loop_samples,
     segment_samples,
     solve_fibers,
     track,
@@ -50,6 +58,16 @@ TOL_WITNESS = 1e-8
 MAX_BASE_ATTEMPTS = 12
 POINT_CLUSTER = 1e-7
 NEWTON_ITERS = 30
+TOL_UNION = 1e-10
+TOL_SPLIT = 1e-9
+_SPLIT_BLOCK = 4096  # sets of sheets the trace split reads at once
+# shear slopes for the trace test, tried in order (see _slope)
+SLOPES = (
+    GaussRational(Fraction(3, 7), Fraction(2, 7)),
+    GaussRational(Fraction(-2, 11), Fraction(5, 11)),
+    GaussRational(Fraction(5, 13), Fraction(-4, 13)),
+    GaussRational(Fraction(-4, 9), Fraction(-1, 9)),
+)
 
 
 class DecomposeError(RuntimeError):
@@ -58,13 +76,16 @@ class DecomposeError(RuntimeError):
 
 @dataclass(frozen=True)
 class CurveComponent:
-    """One irreducible piece of a curve, realized as a monodromy orbit.
+    """One irreducible piece of a curve: the set of base sheets on it.
 
-    Vertical lines z1 = c (components with no z2 dependence) carry
-    vertical=True, deg_z2=0 and store c in base_point.
+    orbit lists the sheets of base_fiber that lie on the component, the
+    least set the trace test accepts as a union of components (the name
+    dates from the monodromy orbits the split once tracked).  Vertical
+    lines z1 = c (components with no z2 dependence) carry vertical=True,
+    deg_z2=0 and store c in base_point.
     """
 
-    parent: BiPoly  # exact square-free factor this orbit lives on
+    parent: BiPoly  # exact square-free factor this component lives on
     orbit: tuple[int, ...]  # sheet indices into base_fiber
     deg_z2: int
     defining: np.ndarray  # float coefficient matrix C[a, b] -> z1^a z2^b
@@ -203,28 +224,6 @@ def _branch_candidates(pp: BiPoly) -> list[complex]:
     return sorted(_drop_near(pts), key=lambda z: (z.real, z.imag))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def groups(self) -> list[tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return [tuple(sorted(v)) for _, v in sorted(out.items())]
-
-
 def _pick_base(branch: list[complex], rng: np.random.Generator) -> complex:
     reach = max([1.0] + [abs(b) for b in branch])
     radius = 2.0 * reach * (1.0 + 0.25 * rng.random())
@@ -232,19 +231,165 @@ def _pick_base(branch: list[complex], rng: np.random.Generator) -> complex:
     return radius * complex(math.cos(angle), math.sin(angle))
 
 
-def _monodromy_components(
+def _slope(pp: BiPoly) -> GaussRational:
+    """The first of SLOPES at which pp's top-degree form is nonzero at (mu, 1).
+
+    There G(t, w) = pp(t + mu w, w) has the constant leading w-coefficient
+    top(mu, 1) and w-degree the total degree of pp, so no line
+    z1 - mu z2 = t meets the curve at infinity.  Raises DecomposeError when
+    every slope is the direction of an asymptote.
+    """
+    deg = max(a + b for a, b in pp.terms)
+    top = BiPoly({ab: c for ab, c in pp.terms.items() if sum(ab) == deg})
+    for mu in SLOPES:
+        if not top.eval(mu, GaussRational(1)).is_zero:
+            return mu
+    raise DecomposeError("every shear slope is the direction of an asymptote")
+
+
+def _sheared(pp: BiPoly, mu: GaussRational) -> BiPoly:
+    """G(t, w) = pp(t + mu w, w), exactly, by Horner in z1 over pp's z1-rows."""
+    line = BiPoly.var(1) + BiPoly.var(2) * mu
+    acc = BiPoly()
+    for k in range(pp.deg1, -1, -1):
+        acc = acc * line + BiPoly({(0, b): c for (a, b), c in pp.terms.items() if a == k})
+    return acc
+
+
+def _trace_split(second: np.ndarray, scale: float) -> list[tuple[int, ...]]:
+    """The least sets of columns whose second differences sum to zero.
+
+    second holds each column's second difference of w over the three test
+    lines, and a set of columns reads |sum| / scale: at most TOL_UNION it
+    passes, at least TOL_SPLIT it fails.  The component of the first column
+    left is the least passing set that holds it, found among every set of
+    the columns left, _SPLIT_BLOCK sets at a time; it is set aside and the
+    next is found the same way.  A reading between the tolerances, or no
+    or two least passing sets, raises DecomposeError.
+    """
+    rest = np.arange(second.size)
+    comps = []
+    while rest.size:
+        head, others = rest[0], rest[1:]
+        shifts = np.arange(others.size)
+        least, count, pick = others.size + 1, 0, 0
+        for lo in range(0, 1 << others.size, _SPLIT_BLOCK):
+            masks = np.arange(lo, min(lo + _SPLIT_BLOCK, 1 << others.size))
+            bits = (masks[:, None] >> shifts) & 1
+            reading = np.abs(second[head] + bits @ second[others]) / scale
+            unsure = (reading > TOL_UNION) & (reading < TOL_SPLIT)
+            if unsure.any():
+                raise DecomposeError(
+                    f"trace test ambiguous: a set of sheets reads {reading[unsure].max():.3g}, "
+                    f"between {TOL_UNION:g} and {TOL_SPLIT:g}"
+                )
+            ok = reading <= TOL_UNION
+            if ok.any():
+                sizes = bits[ok].sum(axis=1)
+                if sizes.min() < least:
+                    least, count, pick = sizes.min(), 0, masks[ok][sizes.argmin()]
+                count += int(np.count_nonzero(sizes == least))
+        if count != 1:
+            raise DecomposeError(f"trace test found {count} least sets of sheets, not one")
+        inside = ((pick >> shifts) & 1).astype(bool)
+        comps.append((int(head), *others[inside].tolist()))
+        rest = others[~inside]
+    return comps
+
+
+def _paired_fibers(fp: FiberPoly, z1s: np.ndarray, tracked: np.ndarray, what: str) -> np.ndarray:
+    """The fibers over z1s, solved cold in one batch, each row's roots put
+    in the order of the tracked row they pair with (_nearest_pairing).
+
+    A row that does not converge or pair one to one raises DecomposeError,
+    naming the point as what=z1s[k].
+    """
+    roots, conv = solve_fibers(fp, z1s)
+    for k in range(len(z1s)):
+        cols = _nearest_pairing(np.abs(tracked[k][:, None] - roots[k][None, :])) if conv[k].all() else None
+        if cols is None:
+            raise DecomposeError(
+                f"the fiber over {what}={z1s[k]:.6g} does not match the tracked sheets"
+            )
+        roots[k] = roots[k][cols]
+    return roots
+
+
+def _test_lines(branch: list[complex]) -> np.ndarray:
+    """The test lines t*, t* + h and t* + 2h of the trace test.
+
+    t* = b + 0.4 s and h = 0.5 s, for b the branch point nearest 0 (or 0)
+    and s = 1 + |b|.  A step tied to the gap between branch points instead
+    shrinks with it, and so do the readings of sets that are not unions.
+    """
+    b = min(branch, key=abs, default=0j)
+    return b + (1.0 + abs(b)) * np.array([0.4, 0.9, 1.4])
+
+
+def _trace_orbits(
+    fp: FiberPoly,
+    gp: FiberPoly,
+    mu: complex,
+    base: complex,
+    fiber0: np.ndarray,
+    lines: np.ndarray,
+    resolution: int,
+) -> list[tuple[int, ...]]:
+    """The base sheets grouped by component, by the linear trace test.
+
+    gp is the fiber of G(t, w) = pp(t + mu w, w).  One path of pp's fiber
+    carries the base sheets along the ray from the base point to z1 = t*,
+    the first test line; there sheet i is a point of the line
+    t_i = t* - mu y_i.  One path of G's fiber through t_1 .. t_m and on to
+    the three test lines, 8 * resolution steps per leg, labels each base
+    sheet with the column it lies on.  Over a parallel pencil the sum of w
+    over a union of components is affine in t, and over any other set of
+    columns it is not, so the second difference of each set's sum over the
+    test lines (cold-solved and paired with the tracked columns) splits the
+    columns (_trace_split).  Orbits come sorted by their least sheet, and
+    every component must hold a base sheet.
+
+    The ray keeps the sheared path near the test lines: from a far base
+    point the lines t_i lie far out too, where two columns of G can run
+    side by side for hundreds of units and the tracker bisects thousands
+    of times.
+    """
+    m = fiber0.size
+    ray = segment_samples(base, lines[0], 24 * resolution)
+    sheets = track(fp, ray, fiber0=fiber0).end  # y_1 .. y_m over z1 = t*
+    ends = np.concatenate([lines[0] - mu * sheets, lines])
+    n = 8 * resolution
+    path = np.concatenate([segment_samples(a, b, n)[:-1] for a, b in zip(ends[:-1], ends[1:])] + [ends[-1:]])
+    tp = track(gp, path)
+    # the path's samples in order, among the bisection midpoints
+    later = iter(range(tp.samples.size))
+    rows = np.array([next(i for i in later if tp.samples[i] == z) for z in path[::n]])
+    dist = np.abs(tp.fibers[rows[:m]] - sheets[:, None])
+    label = dist.argmin(axis=1)
+    gap = dist.copy()
+    gap[np.arange(m), label] = np.inf
+    if not (4.0 * dist[np.arange(m), label] < gap.min(axis=1)).all():
+        raise DecomposeError("a base sheet matches no tracked column of the sheared fiber")
+
+    cold = _paired_fibers(gp, lines, tp.fibers[rows[m:]], "the test line t")
+    comps = _trace_split(cold[0] - 2.0 * cold[1] + cold[2], 1.0 + float(np.abs(cold).max()))
+    orbits = sorted(tuple(np.flatnonzero(np.isin(label, c)).tolist()) for c in comps)
+    if not orbits[0]:
+        raise DecomposeError("a component of the trace test holds no base sheet")
+    return orbits
+
+
+def _trace_components(
     parent: BiPoly,
     pp: BiPoly,
     seed: int,
     resolution: int,
 ) -> list[CurveComponent]:
-    """The irreducible components of pp as monodromy orbits of its sheets.
+    """The irreducible components of pp, its sheets split by the trace test.
 
-    A loop around each branch point, from a random base point, permutes the
-    base fiber; sheets that a loop exchanges are joined.  Joins are certain,
-    so once every sheet is in one orbit no later loop can change the
-    answer, and the remaining loops are not tracked (a factor of z2-degree 1
-    tracks none).  A TrackError or DecomposeError retries from a new base
+    The test runs on G(t, w) = pp(t + mu w, w) for mu from _slope, over the
+    lines from _test_lines.  A factor of z2-degree 1 is one component and
+    is not tested.  A TrackError or DecomposeError retries from a new base
     point, up to MAX_BASE_ATTEMPTS.
     """
     m = pp.deg2
@@ -252,33 +397,17 @@ def _monodromy_components(
     fp = FiberPoly(pp)
     rng = np.random.default_rng(seed)
     lc = pp.z2_coeffs()[-1]
-
-    if branch:
-        pair_min = min(
-            (abs(a - b) for i, a in enumerate(branch) for b in branch[i + 1:]),
-            default=2.0 * max(abs(b) for b in branch) + 1.0,
-        )
-    else:
-        pair_min = 1.0
+    if m >= 2:
+        mu = _slope(pp)
+        gp = FiberPoly(_sheared(pp, mu))
+        lines = _test_lines(branch)
 
     last_err: Exception | None = None
     for _ in range(MAX_BASE_ATTEMPTS):
         base = _pick_base(branch, rng)
         try:
             fiber0 = _fiber_at(fp, base)
-            uf = _UnionFind(m)
-            for b in branch:
-                if len(uf.groups()) == 1:  # one orbit: no loop can split it
-                    break
-                radius = min(0.4 * pair_min, 0.5 * abs(base - b))
-                petal = loop_samples(
-                    base, b, radius,
-                    n_circle=64 * resolution, n_leg=24 * resolution,
-                )
-                perm = track(fp, petal, fiber0=fiber0).loop_permutation()
-                for i, j in enumerate(perm):
-                    uf.union(i, j)
-            orbits = uf.groups()
+            orbits = [(0,)] if m == 1 else _trace_orbits(fp, gp, complex(mu), base, fiber0, lines, resolution)
             return _build_components(parent, pp, fp, lc, base, fiber0, orbits, resolution)
         except (TrackError, DecomposeError) as exc:
             last_err = exc
@@ -318,7 +447,7 @@ def _build_components(
 
     # one node per coefficient of the z1-degree bound, and one held out
     n = (len(orbits) - 1) * lc.deg1 + pp.deg1 + 2
-    per_arc = -(-64 * resolution // n)  # ceil: the loops' circle density
+    per_arc = -(-64 * resolution // n)  # ceil: 64 samples per turn at resolution 1
     circle = circle_samples(0.0, 1.0, n * per_arc, start_angle=math.atan2(base.imag, base.real))
     nodes = circle[: n * per_arc : per_arc]
     path = np.concatenate(
@@ -327,18 +456,7 @@ def _build_components(
     tp = track(fp, path, fiber0=fiber0)
     tracked = tp.fibers[np.isin(tp.samples, nodes)]
 
-    roots, conv = solve_fibers(fp, nodes)
-    fibers = np.empty((n, pp.deg2), dtype=np.complex128)
-    for k in range(n):
-        cols = None
-        if conv[k].all():
-            cols = _nearest_pairing(np.abs(tracked[k][:, None] - roots[k][None, :]))
-        if cols is None:
-            raise DecomposeError(
-                f"the fiber over interpolation node z1={nodes[k]:.6g} does not "
-                "match the tracked sheets"
-            )
-        fibers[k] = roots[k][cols]
+    fibers = _paired_fibers(fp, nodes, tracked, "interpolation node z1")
 
     lc_vals = fp.coeff_rows(nodes)[:, -1]
     dft = np.conj(nodes)[None, :] ** np.arange(n)[:, None] / n  # inverse of the node powers
@@ -381,10 +499,10 @@ def decompose_curve(
     """Irreducible components of the plane curve V(g).
 
     g is factored square-free exactly; each factor contributes its vertical
-    lines (roots of the z1-content) and the monodromy orbits of its
-    z2-primitive part.  Orbits are invariant under path-resolution doubling
-    and base-point re-randomization; callers can check via the seed and
-    resolution parameters.
+    lines (roots of the z1-content) and the components of its z2-primitive
+    part, split by the trace test.  The sheet sets are invariant under
+    path-resolution doubling and base-point re-randomization; callers can
+    check via the seed and resolution parameters.
     """
     if g.is_zero or g.is_constant:
         raise ValueError("curve decomposition needs a nonconstant polynomial")
@@ -397,7 +515,7 @@ def decompose_curve(
         if cont.deg1 >= 1:
             comps.extend(_vertical_components(factor, cont))
         if pp.deg2 >= 1:
-            comps.extend(_monodromy_components(factor, pp, seed, resolution))
+            comps.extend(_trace_components(factor, pp, seed, resolution))
     return comps
 
 

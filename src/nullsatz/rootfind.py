@@ -343,24 +343,6 @@ def circle_samples(
     return center + radius * np.exp(1j * th)
 
 
-def loop_samples(base: complex, center: complex, radius: float, n_circle: int = 64,
-                 n_leg: int = 24) -> np.ndarray:
-    """Base -> circle entry -> full circle -> back to base (a loop bouquet petal).
-
-    The entry point is the circle point nearest the base along the ray from
-    the center, so the legs stay radial and never cross the circle.
-    """
-    v = base - center
-    if abs(v) <= radius:
-        raise ValueError("base point must lie outside the loop circle")
-    entry = center + radius * v / abs(v)
-    ang = float(np.angle(entry - center))
-    leg_in = segment_samples(base, entry, n_leg)
-    circ = circle_samples(center, radius, n_circle, start_angle=ang)
-    leg_out = segment_samples(entry, base, n_leg)
-    return np.concatenate([leg_in, circ[1:], leg_out[1:]])
-
-
 # ---------------------------------------------------------------------------
 # tracking
 # ---------------------------------------------------------------------------
@@ -385,19 +367,6 @@ class TrackedPath:
     @property
     def end(self) -> np.ndarray:
         return self.fibers[-1]
-
-    def loop_permutation(self) -> tuple[int, ...]:
-        """perm[i] = index of the start root the i-th sheet lands on.
-
-        Only meaningful when the path closes up (last sample == first).
-        """
-        if abs(self.samples[-1] - self.samples[0]) > 1e-12:
-            raise ValueError("path is not a closed loop")
-        start, end = self.fibers[0], self.fibers[-1]
-        cols = _nearest_pairing(np.abs(end[:, None] - start[None, :]))
-        if cols is None:
-            raise TrackError("the loop's end fiber does not pair one to one with its start")
-        return tuple(cols.tolist())
 
 
 def _nearest_pairing(cost: np.ndarray) -> np.ndarray | None:

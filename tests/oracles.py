@@ -13,6 +13,11 @@ through the two conditional Beta marginals of the gauge coordinates.
 The circle oracle evaluates f term by term at the points (a e^{it}, b e^{it})
 of a fine grid in t, with no Fourier coefficients and no FFT.
 
+``loop_samples`` and ``loop_permutation`` build a closed loop around a
+branch point and read the sheet permutation a tracked loop makes: the
+monodromy readout the curve split used before the linear trace test, kept
+for the tracker tests and as an independent check of the split.
+
 ``FractionPoly`` and the ``ref_*`` functions are a frozen reference for the
 exact algebra: a polynomial as a {(a, b): GaussRational} dict with
 ``Fraction`` arithmetic throughout, the layout ``BiPoly`` had before it kept
@@ -31,6 +36,7 @@ from scipy.special import betaincinv, gamma
 from scipy.stats import qmc
 
 from nullsatz.polyalg import ExactDivisionError, GaussRational
+from nullsatz.rootfind import TrackError, _nearest_pairing, circle_samples, segment_samples
 
 _CACHE: dict[int, np.ndarray] = {}
 
@@ -86,6 +92,38 @@ def circle_modulus_oracle(f, a: complex, b: complex, t: np.ndarray) -> np.ndarra
 def circle_min_oracle(f, a: complex, b: complex, n: int = 1 << 16) -> float:
     """min over the n-point grid t = 2 pi m / n of |f(a e^{it}, b e^{it})|."""
     return float(circle_modulus_oracle(f, a, b, 2.0 * np.pi * np.arange(n) / n).min())
+
+
+def loop_samples(base: complex, center: complex, radius: float, n_circle: int = 64,
+                 n_leg: int = 24) -> np.ndarray:
+    """Base -> circle entry -> full circle -> back to base (a loop bouquet petal).
+
+    The entry point is the circle point nearest the base along the ray from
+    the center, so the legs stay radial and never cross the circle.
+    """
+    v = base - center
+    if abs(v) <= radius:
+        raise ValueError("base point must lie outside the loop circle")
+    entry = center + radius * v / abs(v)
+    ang = float(np.angle(entry - center))
+    leg_in = segment_samples(base, entry, n_leg)
+    circ = circle_samples(center, radius, n_circle, start_angle=ang)
+    leg_out = segment_samples(entry, base, n_leg)
+    return np.concatenate([leg_in, circ[1:], leg_out[1:]])
+
+
+def loop_permutation(tp) -> tuple[int, ...]:
+    """perm[i] = index of the start root the i-th sheet of a tracked loop lands on.
+
+    Raises ValueError unless the path closes up (last sample == first), and
+    TrackError when the end fiber does not pair one to one with the start.
+    """
+    if abs(tp.samples[-1] - tp.samples[0]) > 1e-12:
+        raise ValueError("path is not a closed loop")
+    cols = _nearest_pairing(np.abs(tp.end[:, None] - tp.start[None, :]))
+    if cols is None:
+        raise TrackError("the loop's end fiber does not pair one to one with its start")
+    return tuple(cols.tolist())
 
 
 # ---------------------------------------------------------------------------

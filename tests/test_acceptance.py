@@ -151,7 +151,7 @@ def test_criterion_5_monodromy_counts(capsys):
         counts = {len(decompose_curve(poly, **kw)) for kw in runs}
         got.append(counts)
         ok = ok and counts == {want}
-    report(capsys, 5, "monodromy component counts", ok,
+    report(capsys, 5, "curve component counts", ok,
            f"counts {[sorted(c) for c in got]} vs expected [1, 2, 2, 3, 1], "
            "invariant under resolution doubling and base reseeding")
     assert ok

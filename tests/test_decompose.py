@@ -1,12 +1,15 @@
 """Curve decomposition and point solving, checked against hand-computable
-varieties and the invariants the monodromy construction must satisfy."""
+varieties, sympy's factors over Q(i), and the invariants the trace-test
+split must satisfy."""
 
+import functools
 import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import nullsatz.decompose as dec
 import nullsatz.polyalg as polyalg
@@ -14,20 +17,22 @@ from nullsatz.bergman import DomainSpec
 from nullsatz.decompose import (
     NEWTON_ITERS,
     POINT_CLUSTER,
+    SLOPES,
     TOL_POINT,
     CurveComponent,
     DecomposeError,
     IsolatedPoint,
-    _UnionFind,
     _distinct_roots,
     _refine_points,
     _row_stack,
+    _slope,
     _solve_points,
+    _trace_split,
     decompose_curve,
     decompose_ideal,
 )
 from nullsatz.nullsatz import classify
-from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2, resultant_z2
+from nullsatz.polyalg import BiPoly, GaussRational, content_pp_z2, resultant_z2, squarefree
 from nullsatz.rootfind import FiberPoly, _horner, solve_fibers
 
 Z1 = BiPoly.var(1)
@@ -55,6 +60,16 @@ COMPONENT_COUNTS = [
     ((Z2**2 - Z1**3 + Fraction(1, 8)) * (Z2**2 - Z1 - 3), 2),
     ((Z1**2 * Z2**2 - 2) * (Z2 - Z1**2), 3),  # z1 z2 = +-sqrt(2) and a parabola
 ]
+
+
+def ladder(d):
+    """The degree ladder's rung d: z2^d - z1^(d-1) + z1 z2 / 3 - 1/5, irreducible."""
+    return Z2**d - Z1 ** (d - 1) + Z1 * Z2 * Fraction(1, 3) - Fraction(1, 5)
+
+
+# the ladder and each rung times a line, total degree up to 11
+COMPONENT_COUNTS += [(ladder(d), 1) for d in range(4, 11)]
+COMPONENT_COUNTS += [(ladder(d) * (Z2 - Fraction(1, 2)), 2) for d in range(4, 11)]
 
 
 def orbit_sizes(comps):
@@ -99,64 +114,57 @@ class TestComponentCounts:
         assert comps[0].deg_z2 == 2
 
 
-@pytest.fixture
-def loop_perms(monkeypatch):
-    """The sheet permutation of every closed loop decompose tracks, in order."""
-    perms = []
-    track = dec.track
+class TestTraceSplit:
+    """The sheets split by the linear trace test, with no closed loop."""
 
-    def spy(fp, path, fiber0=None):
-        tp = track(fp, path, fiber0=fiber0)
-        if abs(path[-1] - path[0]) <= 1e-12:
-            perms.append(tp.loop_permutation())
-        return tp
+    def test_no_closed_path_is_tracked(self, monkeypatch):
+        track = dec.track
 
-    monkeypatch.setattr(dec, "track", spy)
-    return perms
+        def spy(fp, path, fiber0=None):
+            assert abs(path[-1] - path[0]) > 1e-12, "decompose tracked a closed loop"
+            return track(fp, path, fiber0=fiber0)
 
+        monkeypatch.setattr(dec, "track", spy)
+        for poly, count in COMPONENT_COUNTS[:15]:
+            assert len(decompose_curve(poly)) == count
 
-def replay(perms, m):
-    """Orbit count after each loop when the loops' exchanges are joined."""
-    uf = _UnionFind(m)
-    counts = []
-    for perm in perms:
-        for i, j in enumerate(perm):
-            uf.union(i, j)
-        counts.append(len(uf.groups()))
-    return counts, uf.groups()
+    def test_least_passing_sets_are_the_components(self):
+        # columns {0, 3}, {1} and {2, 4} sum to zero; nothing smaller does
+        second = np.array([1 + 1j, 0, 2 - 1j, -1 - 1j, -2 + 1j])
+        assert _trace_split(second, 1.0) == [(0, 3), (1,), (2, 4)]
+        assert _trace_split(np.array([1.0, 2.0, -3.0]), 1.0) == [(0, 1, 2)]
 
+    def test_two_least_sets_are_an_error(self):
+        # {0, 1} and {0, 2} both pass, so {0} should have, and does not
+        with pytest.raises(DecomposeError, match="2 least sets"):
+            _trace_split(np.array([1.0, -1.0, -1.0, 1.0]), 1.0)
 
-def branch_count(poly):
-    return len(dec._branch_candidates(content_pp_z2(poly)[1]))
+    def test_split_reads_in_bounded_blocks(self, monkeypatch):
+        # a block smaller than the 2^4 sets of the other columns finds the same split
+        second = np.array([1 + 1j, 0, 2 - 1j, -1 - 1j, -2 + 1j])
+        monkeypatch.setattr(dec, "_SPLIT_BLOCK", 3)
+        assert _trace_split(second, 1.0) == [(0, 3), (1,), (2, 4)]
 
+    def test_ambiguous_reading_is_inconclusive(self, monkeypatch):
+        # with the split tolerance raised past every reading, a set of sheets
+        # that is no union reads between the tolerances on every base point
+        monkeypatch.setattr(dec, "TOL_SPLIT", 1e3)
+        with pytest.raises(DecomposeError, match="trace test ambiguous"):
+            decompose_curve(Z2**2 - Z1)
+        v = classify([Z2**2 - Z1], DomainSpec.ball(), with_certificate=False)
+        assert v.overall == "INCONCLUSIVE"
+        assert "trace test ambiguous" in v.justification
 
-class TestMonodromyExit:
-    """The loops stop once every sheet is in one orbit, and only then."""
-
-    @pytest.mark.parametrize(
-        "poly", [Z2**2 - Z1**3 + 1, Z2**3 - 3 * Z2 + Z1**3, Z2**4 - Z1 * Z2 + Z1**4 - 1]
-    )
-    def test_irreducible_stops_after_the_joining_loop(self, poly, loop_perms):
-        comp, = decompose_curve(poly)
-        counts, _ = replay(loop_perms, poly.deg2)
-        assert counts[-1] == 1 and all(c > 1 for c in counts[:-1])
-        assert len(loop_perms) < branch_count(poly)
-        assert comp.orbit == tuple(range(poly.deg2))
-
-    @pytest.mark.parametrize("poly,count", [pc for pc in COMPONENT_COUNTS if pc[1] > 1])
-    def test_reducible_tracks_every_loop(self, poly, count, loop_perms):
-        comps = decompose_curve(poly)
-        _, orbits = replay(loop_perms, poly.deg2)
-        assert len(loop_perms) == branch_count(poly)
-        assert sorted(c.orbit for c in comps) == orbits
-        assert len(orbits) == count
-
-    def test_degree_one_factor_tracks_no_loop(self, loop_perms):
-        # z1 z2 - 1 has a branch candidate at z1 = 0, its leading coefficient's root
-        assert branch_count(Z1 * Z2 - 1) == 1
-        comp, = decompose_curve(Z1 * Z2 - 1)
-        assert loop_perms == []
-        assert comp.orbit == (0,)
+    def test_line_parallel_to_the_first_slope_takes_the_next(self):
+        # the line z1 - mu z2 = 1/3 meets every line of the first pencil at
+        # infinity, so the top-degree form vanishes at (mu, 1)
+        mu = SLOPES[0]
+        f = (Z1 - Z2 * mu - Fraction(1, 3)) * (Z2**2 - Z1)
+        assert _slope(content_pp_z2(f)[1]) == SLOPES[1]
+        comps = decompose_curve(f)
+        assert orbit_sizes(comps) == [1, 2]
+        for c in comps:
+            assert c.fit_residual <= 1e-12
 
 
 class TestVerticalLines:
@@ -255,7 +263,8 @@ class TestUnitCircleFit:
 
         def moved(fp, z1s):
             roots, conv = real(fp, z1s)
-            roots[0] = roots[0] + np.where(np.arange(roots[0].size) == 0, 1e-6, 0)
+            if np.allclose(np.abs(z1s), 1.0):  # the fit's nodes, not the test lines
+                roots[0] = roots[0] + np.where(np.arange(roots[0].size) == 0, 1e-6, 0)
             return roots, conv
 
         monkeypatch.setattr(dec, "solve_fibers", moved)
@@ -273,18 +282,25 @@ class TestUnitCircleFit:
         ],
     )
     def test_one_open_path_per_primitive_factor(self, poly, paths, monkeypatch):
-        opened = []
+        # one fit path per primitive factor; a factor of two or more sheets
+        # adds the ray that carries its base sheets to the first test line
+        # and the sheared trace path, the one path that starts cold
+        steps, cold = [], []
         track = dec.track
 
         def spy(fp, path, fiber0=None):
-            if abs(path[-1] - path[0]) > 1e-12:
-                opened.append(np.abs(np.diff(path)).min())
+            assert abs(path[-1] - path[0]) > 1e-12
+            steps.append(np.abs(np.diff(path)).min())
+            cold.append(fiber0 is None)
             return track(fp, path, fiber0=fiber0)
 
         monkeypatch.setattr(dec, "track", spy)
         decompose_curve(poly)
-        assert len(opened) == paths
-        assert all(step > 0 for step in opened)
+        sheets = [content_pp_z2(f)[1].deg2 for f, _ in squarefree(poly) if f.deg2]
+        split = sum(m >= 2 for m in sheets)
+        assert len(sheets) == paths
+        assert len(steps) == paths + 2 * split and sum(cold) == split
+        assert all(step > 0 for step in steps)
 
 
 class TestZeroDimSolve:
@@ -745,3 +761,255 @@ class TestDecomposeIdeal:
         a = json.dumps(decompose_ideal(gens, seed=5).to_json_dict(), sort_keys=True)
         b = json.dumps(decompose_ideal(gens, seed=5).to_json_dict(), sort_keys=True)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# sympy as the oracle: the curves of perfbench's `curves` seeds 1, 41, 68, 73,
+# 106 and 503, frozen as exact polynomials ("a b re im" per term z1^a z2^b)
+# ---------------------------------------------------------------------------
+
+CURVES = {
+    "1.r0.c0": "0 0 -63/256 -5/32; 0 3 1 0; 1 1 -1 -1/4; 3 0 -1/2 -1/2",
+    "1.r0.c1": "0 0 0 11/2; 0 3 1 0; 1 0 1/2 1; 1 1 1 -1/2; 3 0 1 1/4",
+    "1.r0.c2": (
+        "0 0 13/8 117/256; 0 1 -95/64 9/8; 0 2 1/2 15/4; 0 3 1 0; 1 0 95/128 1/4; 1 1 -1/4 -1/2; "
+        "1 2 -1/2 0; 2 0 0 -3/2; 2 1 -1/2 0; 3 0 1/4 0"
+    ),
+    "1.r0.c3": (
+        "0 0 161/256 651/1024; 0 1 -2 -2; 0 2 1 2; 0 3 1 0; 1 0 -1/2 1/4; 2 0 1 -1; 3 0 1/2 1"
+    ),
+    "1.r0.c4": "0 0 27/4 0; 0 1 0 1/4; 0 3 1 0; 1 0 1 -1; 2 0 -1 1/2; 3 0 -1 -1",
+    "1.r0.c5": (
+        "0 0 1591/4096 -629/4096; 0 1 -1/2 -1/2; 0 2 1/2 1/4; 0 4 1 0; 1 0 0 -2; 1 2 -1 1/2; "
+        "4 0 1 -1/4"
+    ),
+    "1.r0.c6": (
+        "0 0 0 39/4; 0 1 1 -1/2; 0 2 0 -1/2; 0 3 -1/2 -1; 0 4 1 0; 1 1 1 0; 2 1 1/2 -1/2; "
+        "3 0 2 1; 4 0 1 -1/4"
+    ),
+    "1.r1.c0": (
+        "0 0 -41/256 33/256; 0 1 1/4 1/2; 0 2 0 -2; 0 3 1 0; 1 0 1 1/2; 2 0 1 -1/2; 3 0 0 -1"
+    ),
+    "1.r1.c1": "0 0 6 0; 0 1 1/2 1; 0 3 1 0; 1 1 1 1/4; 3 0 -2 0",
+    "1.r1.c2": (
+        "0 0 -3/4 -27/64; 0 1 -7/4 87/64; 0 2 5/2 1/2; 0 3 1 0; 1 0 9/128 -1/8; 1 1 -1/4 -1/4; "
+        "1 2 0 1/2; 2 0 0 3; 2 1 0 1; 3 0 -1/2 0"
+    ),
+    "1.r1.c3": (
+        "0 0 133/1024 41/512; 0 1 -1/2 0; 0 2 1/2 1; 0 3 1 0; 1 1 2 -1/4; 2 0 0 1/4; 3 0 1/2 1"
+    ),
+    "1.r1.c4": "0 0 0 25/4; 0 1 -1/4 0; 0 2 0 1; 0 3 1 0; 1 0 -1/4 -1; 3 0 1/2 1",
+    "1.r1.c5": (
+        "0 0 -99/512 5/512; 0 3 -1/4 1; 0 4 1 0; 1 1 1/4 -1; 2 0 1 -1; 2 1 1 -2; 3 0 1 1; "
+        "4 0 1/2 1/2"
+    ),
+    "1.r1.c6": (
+        "0 0 9 0; 0 1 1/4 1/4; 0 2 0 -1/2; 0 3 0 1/2; 0 4 1 0; 1 0 -1 0; 2 0 1 -1; 2 1 1 -1; "
+        "4 0 -1 1/4"
+    ),
+    "41.r0.c0": "0 0 47/512 283/512; 0 1 2 1/2; 0 3 1 0; 1 0 0 -1/2; 2 0 1 1/2; 3 0 -1 1",
+    "41.r0.c1": "0 0 37/4 0; 0 1 -1 1; 0 2 1/2 -2; 0 3 1 0; 2 0 1/2 2; 3 0 1 0",
+    "41.r0.c2": (
+        "0 0 45/256 -15/16; 0 1 243/64 11/16; 0 2 19/4 1/4; 0 3 1 0; 1 0 115/64 205/128; "
+        "1 1 13/8 1/4; 1 2 1 -1/2; 2 0 -27/4 1/4; 2 1 -2 0; 3 0 -2 1"
+    ),
+    "41.r0.c3": (
+        "0 0 371/2048 -241/512; 0 1 0 1/4; 0 2 1/4 -1/4; 0 3 1 0; 1 0 -1/2 -1; 3 0 1/2 1/4"
+    ),
+    "41.r0.c4": "0 0 0 6; 0 2 -1 -2; 0 3 1 0; 3 0 1/4 -1",
+    "41.r0.c5": (
+        "0 0 -671/8192 -1293/4096; 0 1 0 1/4; 0 2 0 1/2; 0 4 1 0; 1 0 0 -1/2; 1 1 0 -1/2; "
+        "2 0 -1 0; 3 0 -1/2 0; 4 0 -1/2 1"
+    ),
+    "41.r0.c6": (
+        "0 0 39/4 0; 0 2 -1/2 0; 0 3 2 1; 0 4 1 0; 1 1 2 0; 1 2 1/4 1/4; 2 1 0 1; 4 0 -1 1/4"
+    ),
+    "41.r1.c0": "0 0 -29/256 629/1024; 0 3 1 0; 1 0 1 1; 1 1 0 1/4; 2 0 1 -1; 3 0 1 -1/2",
+    "41.r1.c1": "0 0 0 25/4; 0 3 1 0; 1 0 -2 -1/2; 2 0 -1 0; 3 0 -1/2 -1",
+    "41.r1.c2": (
+        "0 0 -135/128 -165/256; 0 1 469/64 69/32; 0 2 1/2 7/4; 0 3 1 0; 1 0 -1/32 -433/128; "
+        "1 1 -3/2 -9/4; 1 2 1 -1/2; 2 0 -23/8 1/2; 2 1 0 1/2; 3 0 1/4 1/2"
+    ),
+    "41.r1.c3": "0 0 443/512 -345/512; 0 1 -2 0; 0 3 1 0; 2 0 -1/4 -1/4; 3 0 1 -1",
+    "41.r1.c4": "0 0 0 39/4; 0 1 2 -1; 0 2 -2 1/2; 0 3 1 0; 1 0 -1/2 2; 3 0 1 -1/2",
+    "41.r1.c5": (
+        "0 0 -273/4096 2075/8192; 0 2 -1/2 -2; 0 4 1 0; 1 0 -1 -1; 1 1 0 1; 1 2 -1/4 0; "
+        "2 1 1/2 -1/4; 3 0 -1 -2; 4 0 -1 1/2"
+    ),
+    "41.r1.c6": (
+        "0 0 0 41/4; 0 1 1/2 1/2; 0 4 1 0; 1 0 -1 1; 1 1 0 -1; 1 2 2 0; 2 1 1/2 -1/2; 4 0 -2 0"
+    ),
+    "68.r0.c0": "0 0 -161/256 259/512; 0 1 1/4 0; 0 2 1/2 1/4; 0 3 1 0; 1 0 1/2 2; 3 0 -1 0",
+    "68.r0.c1": "0 0 35/4 0; 0 1 1 1/4; 0 2 -2 0; 0 3 1 0; 1 1 -1 -1/4; 2 0 -1 0; 3 0 1/2 1",
+    "68.r0.c2": (
+        "0 0 7/64 -7/64; 0 1 27/32 -1/32; 0 2 0 13/4; 0 3 1 0; 1 0 -5/128 -3/128; "
+        "1 1 -1/16 -1/4; 1 2 1 -1/4; 2 0 -7/4 -7/2; 2 1 -1 1/2; 3 0 -7/8 3/4"
+    ),
+    "68.r0.c3": "0 0 93/256 5/256; 0 2 -1 2; 0 3 1 0; 1 1 0 2; 2 0 1/2 -2; 3 0 -1/2 1",
+    "68.r0.c4": "0 0 0 13/2; 0 2 -1/2 1; 0 3 1 0; 1 0 1/4 1/2; 2 0 -1/2 1; 3 0 -1/2 1",
+    "68.r0.c5": (
+        "0 0 -1673/4096 65/512; 0 3 0 2; 0 4 1 0; 1 0 -1/2 1; 1 2 1/2 -1; 2 0 1/4 0; 2 1 -1/4 1; "
+        "3 0 1 0; 4 0 -1/4 1"
+    ),
+    "68.r0.c6": (
+        "0 0 10 0; 0 1 -2 -1; 0 2 1/4 -1/2; 0 4 1 0; 1 1 1 0; 1 2 -1 -2; 2 0 1/2 0; 4 0 -1 0"
+    ),
+    "68.r1.c0": (
+        "0 0 -133/512 1/16; 0 1 2 -1/2; 0 2 1/2 0; 0 3 1 0; 1 0 1/2 -1; 1 1 -1 -1/2; 3 0 1 -1/2"
+    ),
+    "68.r1.c1": "0 0 19/4 0; 0 3 1 0; 1 1 1/2 0; 2 0 -1/2 1/2; 3 0 1/2 1/2",
+    "68.r1.c2": (
+        "0 0 1/4 19/16; 0 1 17/16 -109/64; 0 2 17/4 -1/2; 0 3 1 0; 1 0 -17/64 27/128; 1 1 5/8 0; "
+        "1 2 1/2 1; 2 0 0 4; 2 1 0 1; 3 0 -1 1/2"
+    ),
+    "68.r1.c3": "0 0 221/512 3/256; 0 1 -1/2 -1/2; 0 3 1 0; 1 1 -1 0; 2 0 1 -1/4; 3 0 1 1",
+    "68.r1.c4": "0 0 0 7/2; 0 2 -1/4 1/4; 0 3 1 0; 3 0 0 -1",
+    "68.r1.c5": (
+        "0 0 -2225/8192 259/512; 0 3 2 1; 0 4 1 0; 1 0 -1 1/2; 1 1 1/2 0; 1 2 0 -1/2; "
+        "3 0 -1/2 -1/2; 4 0 1/2 0"
+    ),
+    "68.r1.c6": (
+        "0 0 33/4 0; 0 2 -1/2 0; 0 3 -1 1/2; 0 4 1 0; 1 0 0 -1/2; 1 2 -1 -1/2; 3 0 1/2 -2; "
+        "4 0 -1/2 -1/2"
+    ),
+    "73.r0.c0": (
+        "0 0 5/512 -167/1024; 0 1 1 0; 0 2 1/4 2; 0 3 1 0; 1 1 0 -1/4; 2 0 0 1/2; 3 0 1/2 0"
+    ),
+    "73.r0.c1": "0 0 7/2 0; 0 3 1 0; 1 0 0 -1; 3 0 1/2 -1/2",
+    "73.r0.c2": (
+        "0 0 -15/16 -285/128; 0 1 -29/16 -863/128; 0 2 5/2 -2; 0 3 1 0; 1 0 -135/256 -55/256; "
+        "1 1 -5/4 -3/4; 1 2 1/2 -1/2; 2 0 -3 -3/2; 2 1 -1 -1/2; 3 0 -3/4 1/4"
+    ),
+    "73.r0.c3": "0 0 -9/32 185/512; 0 3 1 0; 1 1 1 1/4; 2 0 -1 1/2; 3 0 0 1/2",
+    "73.r0.c4": "0 0 0 27/4; 0 2 1 0; 0 3 1 0; 1 0 1/2 0; 1 1 1/2 0; 2 0 -1 1/2; 3 0 -1/2 -1",
+    "73.r0.c5": (
+        "0 0 2037/8192 365/4096; 0 2 -1/4 1/4; 0 3 1/2 1/2; 0 4 1 0; 1 0 -1 2; 1 1 1 -1/2; "
+        "2 0 -1/2 -1; 2 1 -1/2 -1; 3 0 -1 -1/2; 4 0 1/2 -1"
+    ),
+    "73.r0.c6": "0 0 0 23/4; 0 4 1 0; 1 0 1/4 -1/4; 1 1 0 1; 1 2 1 1/2; 4 0 1/4 -1/2",
+    "73.r1.c0": "0 0 -129/256 -65/256; 0 1 -1/2 1; 0 3 1 0; 2 0 -1 2; 3 0 0 1",
+    "73.r1.c1": "0 0 11/2 0; 0 3 1 0; 1 0 2 -1; 2 0 -1/4 0; 3 0 1/2 0",
+    "73.r1.c2": (
+        "0 0 -217/256 -7/128; 0 1 -143/128 -225/64; 0 2 13/4 -1; 0 3 1 0; 1 0 -35/256 15/64; "
+        "1 1 -9/8 -1/4; 1 2 1/2 -1; 2 0 7/4 7/2; 2 1 1/2 1; 3 0 5/4 0"
+    ),
+    "73.r1.c3": (
+        "0 0 1041/2048 -105/512; 0 1 1/4 1; 0 2 1/4 1/4; 0 3 1 0; 1 0 1/4 1; 1 1 -1 -1/2; "
+        "3 0 -1/4 -1/2"
+    ),
+    "73.r1.c4": "0 0 0 11/4; 0 3 1 0; 1 1 0 1/4; 3 0 1/2 0",
+    "73.r1.c5": (
+        "0 0 147/1024 -501/1024; 0 2 0 -1/4; 0 3 0 -2; 0 4 1 0; 1 0 -2 -1/2; 2 0 1/2 0; "
+        "2 1 1/4 1/4; 3 0 -1 1/4; 4 0 1/2 1/4"
+    ),
+    "73.r1.c6": (
+        "0 0 0 67/4; 0 1 1 1; 0 2 2 -2; 0 3 -1 1; 0 4 1 0; 1 0 -2 0; 1 1 1/2 -1/2; 1 2 -2 2; "
+        "2 0 -1/4 1; 3 0 1 1; 4 0 0 -1/2"
+    ),
+    "106.r0.c0": "0 0 569/1024 -89/1024; 0 1 -1/4 1; 0 2 1/2 1/2; 0 3 1 0; 1 1 1 0; 3 0 -1/2 -1/2",
+    "106.r0.c1": "0 0 0 19/4; 0 3 1 0; 1 1 0 1/4; 2 0 0 1; 3 0 0 -1/2",
+    "106.r0.c2": (
+        "0 0 -25/128 -95/256; 0 1 -179/128 -315/64; 0 2 -2 3; 0 3 1 0; 1 0 -165/128 621/256; "
+        "1 1 3/4 -1/2; 1 2 0 1/2; 2 0 9/4 -3/4; 2 1 -1/2 -1; 3 0 1/2 -1/4"
+    ),
+    "106.r0.c3": (
+        "0 0 -51/128 -1863/2048; 0 2 -2 0; 0 3 1 0; 1 0 1/2 -1/2; 1 1 1 -1; 2 0 0 1/4; 3 0 1/4 -1"
+    ),
+    "106.r0.c4": "0 0 0 15/2; 0 3 1 0; 1 0 1 -2; 2 0 0 -2; 3 0 -1 -1/2",
+    "106.r0.c5": (
+        "0 0 -247/2048 21/1024; 0 1 -2 -1/2; 0 2 2 -1; 0 3 -1/2 1/4; 0 4 1 0; 1 0 -2 -1; "
+        "1 1 -1/2 0; 2 0 1/2 1/4; 3 0 1 2; 4 0 1/2 1"
+    ),
+    "106.r0.c6": (
+        "0 0 13/2 0; 0 2 1 -1/2; 0 3 1/4 -1/2; 0 4 1 0; 1 2 0 1/4; 2 1 -1/2 0; 3 0 -1/2 0; "
+        "4 0 -1/2 1/2"
+    ),
+    "106.r1.c0": (
+        "0 0 431/512 123/512; 0 1 1 2; 0 2 1 -1/4; 0 3 1 0; 1 0 1/4 -1/2; 1 1 -1/2 -1/4; 3 0 1 0"
+    ),
+    "106.r1.c1": "0 0 23/4 0; 0 1 -1 -2; 0 3 1 0; 2 0 0 1; 3 0 -1/2 0",
+    "106.r1.c2": (
+        "0 0 195/128 -135/512; 0 1 13/32 -969/128; 0 2 15/4 -2; 0 3 1 0; 1 0 95/256 -35/128; "
+        "1 1 -1 -2; 1 2 1 -1/2; 2 0 15/4 -15/8; 2 1 1 -1/2; 3 0 3/4 -1"
+    ),
+    "106.r1.c3": "0 0 113/1024 7/512; 0 1 0 1/2; 0 3 1 0; 1 1 -1/2 0; 3 0 -1 -1/2",
+    "106.r1.c4": "0 0 0 5; 0 2 1/2 -1/4; 0 3 1 0; 1 0 0 1/2; 1 1 0 1/4; 2 0 0 1/2; 3 0 1/4 1/2",
+    "106.r1.c5": (
+        "0 0 -2187/8192 -3259/4096; 0 1 0 -1/2; 0 2 1 2; 0 3 0 -2; 0 4 1 0; 1 0 1/4 2; 1 1 1 0; "
+        "1 2 -1 1/2; 2 1 0 -1/2; 3 0 2 1; 4 0 1/2 -1"
+    ),
+    "106.r1.c6": (
+        "0 0 8 0; 0 3 1/2 0; 0 4 1 0; 1 0 1 -1; 2 0 -1 1; 2 1 -1/2 1; 3 0 1/4 1/4; 4 0 -1/2 0"
+    ),
+    "503.r0.c0": "0 0 -45/128 -429/512; 0 1 0 2; 0 3 1 0; 1 0 1/4 0; 3 0 -1/2 0",
+    "503.r0.c1": "0 0 0 8; 0 2 -1/2 1/4; 0 3 1 0; 1 0 1/4 1/4; 1 1 2 1; 3 0 0 -2",
+    "503.r0.c2": (
+        "0 0 -31/16 -33/64; 0 1 225/64 -1057/256; 0 2 5 -1; 0 3 1 0; 1 0 33/256 -31/64; 1 1 1 1; "
+        "1 2 0 1; 2 0 4 -1; 2 1 1 -1/4; 3 0 1/4 1"
+    ),
+    "503.r0.c3": "0 0 -281/512 -41/64; 0 2 -1 -1; 0 3 1 0; 1 0 1/2 2; 1 1 -1/2 -1; 3 0 1 1/2",
+    "503.r0.c4": "0 0 23/4 0; 0 1 1 1/2; 0 2 0 -1; 0 3 1 0; 1 1 -1/2 1/2; 2 0 1/2 0; 3 0 -1/2 1/4",
+    "503.r0.c5": (
+        "0 0 -591/2048 -471/2048; 0 1 0 1; 0 2 -1/2 -1/2; 0 3 0 -1/2; 0 4 1 0; 1 0 1/2 0; "
+        "1 1 -1 0; 1 2 1/2 1/4; 2 0 0 1/2; 4 0 1 0"
+    ),
+    "503.r0.c6": (
+        "0 0 0 8; 0 1 1/2 -1/4; 0 2 1/4 0; 0 4 1 0; 1 0 -1/2 -1; 2 0 -2 -1/2; 2 1 1/2 -1/4; "
+        "3 0 1 0; 4 0 0 -1/2"
+    ),
+    "503.r1.c0": (
+        "0 0 -69/512 -21/256; 0 1 -1/2 -1/2; 0 2 -1 1/2; 0 3 1 0; 1 0 -1 -1; 1 1 -1/4 0; 3 0 0 1"
+    ),
+    "503.r1.c1": "0 0 0 7; 0 1 1/2 -1/2; 0 2 -1 -2; 0 3 1 0; 3 0 -1/2 -1",
+    "503.r1.c2": (
+        "0 0 -7/32 119/128; 0 1 17/64 -27/16; 0 2 -1/2 7/2; 0 3 1 0; 1 0 -199/128 209/64; "
+        "1 1 3/4 1; 1 2 1/2 -1; 2 0 -5/2 1; 2 1 1/2 1; 3 0 5/4 0"
+    ),
+    "503.r1.c3": "0 0 -235/1024 -1/8; 0 3 1 0; 1 0 -1/4 1/2; 1 1 1/2 -1; 2 0 1/4 1; 3 0 0 1/2",
+    "503.r1.c4": "0 0 15/4 0; 0 3 1 0; 1 0 1/4 1/2; 3 0 -1/2 0",
+    "503.r1.c5": (
+        "0 0 2329/4096 145/512; 0 1 2 -1/2; 0 2 -1 -1; 0 3 -1/2 0; 0 4 1 0; 1 2 1/2 -1/2; "
+        "2 0 -2 1/2; 2 1 -1/2 -1/2; 3 0 1/4 1; 4 0 -1/2 0"
+    ),
+    "503.r1.c6": "0 0 15/2 0; 0 3 0 -1; 0 4 1 0; 1 0 -1 -1/2; 1 2 1 0; 2 0 -1 -1/4; 4 0 1/4 1/2",
+}
+
+
+def _parse_terms(text: str) -> BiPoly:
+    return BiPoly({
+        (int(a), int(b)): GaussRational(Fraction(re), Fraction(im))
+        for a, b, re, im in (term.split() for term in text.split(";"))
+    })
+
+
+@functools.cache
+def _curve_components(name: str):
+    f = _parse_terms(CURVES[name])
+    return f, decompose_curve(f)
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_component_count_is_the_factor_count(self, name):
+        f, comps = _curve_components(name)
+        s1, s2 = sp.symbols("z1 z2")
+        expr = sum(
+            (sp.Rational(c.re.numerator, c.re.denominator)
+             + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * s1**a * s2**b
+            for (a, b), c in f.terms.items()
+        )
+        factors = sp.factor_list(expr, s1, s2, gaussian=True)[1]
+        assert all(mult == 1 for _, mult in factors)
+        assert len(comps) == len(factors)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_product_of_components_is_the_curve(self, name):
+        # prod of the fitted defining polynomials equals f up to one constant
+        f, comps = _curve_components(name)
+        rng = np.random.default_rng(sorted(CURVES).index(name))
+        z1, z2 = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+        prod = np.prod([c.eval_defining(z1, z2) for c in comps], axis=0)
+        want = np.array([f.eval(complex(a), complex(b)) for a, b in zip(z1, z2)])
+        scalar = np.vdot(want, prod) / np.vdot(want, want)
+        assert np.abs(prod - scalar * want).max() <= 1e-9 * np.abs(prod).max()
+
