@@ -74,6 +74,10 @@ class DecomposeError(RuntimeError):
     """Decomposition could not be carried out as specified."""
 
 
+class AmbiguousTraceError(DecomposeError):
+    """A trace reading between TOL_UNION and TOL_SPLIT, on any base point."""
+
+
 @dataclass(frozen=True)
 class CurveComponent:
     """One irreducible piece of a curve: the set of base sheets on it.
@@ -224,11 +228,10 @@ def _branch_candidates(pp: BiPoly) -> list[complex]:
     return sorted(_drop_near(pts), key=lambda z: (z.real, z.imag))
 
 
-def _pick_base(branch: list[complex], rng: np.random.Generator) -> complex:
-    reach = max([1.0] + [abs(b) for b in branch])
-    radius = 2.0 * reach * (1.0 + 0.25 * rng.random())
+def _pick_base(rng: np.random.Generator) -> complex:
+    """A random point of |z1| = 1, which _build_components takes as its first node."""
     angle = 2.0 * math.pi * rng.random()
-    return radius * complex(math.cos(angle), math.sin(angle))
+    return complex(math.cos(angle), math.sin(angle))
 
 
 def _slope(pp: BiPoly) -> GaussRational:
@@ -264,8 +267,8 @@ def _trace_split(second: np.ndarray, scale: float) -> list[tuple[int, ...]]:
     passes, at least TOL_SPLIT it fails.  The component of the first column
     left is the least passing set that holds it, found among every set of
     the columns left, _SPLIT_BLOCK sets at a time; it is set aside and the
-    next is found the same way.  A reading between the tolerances, or no
-    or two least passing sets, raises DecomposeError.
+    next is found the same way.  A reading between the tolerances raises
+    AmbiguousTraceError, and no or two least passing sets DecomposeError.
     """
     rest = np.arange(second.size)
     comps = []
@@ -279,7 +282,7 @@ def _trace_split(second: np.ndarray, scale: float) -> list[tuple[int, ...]]:
             reading = np.abs(second[head] + bits @ second[others]) / scale
             unsure = (reading > TOL_UNION) & (reading < TOL_SPLIT)
             if unsure.any():
-                raise DecomposeError(
+                raise AmbiguousTraceError(
                     f"trace test ambiguous: a set of sheets reads {reading[unsure].max():.3g}, "
                     f"between {TOL_UNION:g} and {TOL_SPLIT:g}"
                 )
@@ -349,10 +352,8 @@ def _trace_orbits(
     columns (_trace_split).  Orbits come sorted by their least sheet, and
     every component must hold a base sheet.
 
-    The ray keeps the sheared path near the test lines: from a far base
-    point the lines t_i lie far out too, where two columns of G can run
-    side by side for hundreds of units and the tracker bisects thousands
-    of times.
+    The ray keeps the sheared path short: the lines t_i then lie near the
+    test lines, and tracking G from the base point itself bisects more.
     """
     m = fiber0.size
     ray = segment_samples(base, lines[0], 24 * resolution)
@@ -389,26 +390,27 @@ def _trace_components(
 
     The test runs on G(t, w) = pp(t + mu w, w) for mu from _slope, over the
     lines from _test_lines.  A factor of z2-degree 1 is one component and
-    is not tested.  A TrackError or DecomposeError retries from a new base
-    point, up to MAX_BASE_ATTEMPTS.
+    is not tested.  A TrackError or DecomposeError other than an ambiguous
+    reading retries from a new base point, up to MAX_BASE_ATTEMPTS.
     """
     m = pp.deg2
-    branch = _branch_candidates(pp)
     fp = FiberPoly(pp)
     rng = np.random.default_rng(seed)
     lc = pp.z2_coeffs()[-1]
     if m >= 2:
         mu = _slope(pp)
         gp = FiberPoly(_sheared(pp, mu))
-        lines = _test_lines(branch)
+        lines = _test_lines(_branch_candidates(pp))
 
     last_err: Exception | None = None
     for _ in range(MAX_BASE_ATTEMPTS):
-        base = _pick_base(branch, rng)
+        base = _pick_base(rng)
         try:
             fiber0 = _fiber_at(fp, base)
             orbits = [(0,)] if m == 1 else _trace_orbits(fp, gp, complex(mu), base, fiber0, lines, resolution)
             return _build_components(parent, pp, fp, lc, base, fiber0, orbits, resolution)
+        except AmbiguousTraceError:
+            raise
         except (TrackError, DecomposeError) as exc:
             last_err = exc
             continue
@@ -430,14 +432,13 @@ def _build_components(
 ) -> list[CurveComponent]:
     """Fit each orbit's lc(z1) · prod (z2 - sheet_i(z1)) by a DFT on |z1| = 1.
 
-    The nodes are the n-th roots of unity turned by the base point's
-    argument, with n one more than the z1-degree bound, so the DFT row of
-    the extra node must vanish; past TOL_WITNESS relative to the
+    The nodes are the n-th roots of unity turned by the base point, which
+    lies on |z1| = 1, with n one more than the z1-degree bound, so the DFT
+    row of the extra node must vanish; past TOL_WITNESS relative to the
     coefficients the fit raises DecomposeError, and that row's relative
     size is the component's fit_residual.  One path carries the base fiber
-    out along the ray to the first node and around the circle through every
-    node; each node's fiber comes from one cold batched solve, matched to
-    the tracked sheets.
+    around the circle through every node; each node's fiber comes from one
+    cold batched solve, matched to the tracked sheets.
     """
     scale = parent.coeff_scale()
     for r in fiber0:
@@ -448,12 +449,9 @@ def _build_components(
     # one node per coefficient of the z1-degree bound, and one held out
     n = (len(orbits) - 1) * lc.deg1 + pp.deg1 + 2
     per_arc = -(-64 * resolution // n)  # ceil: 64 samples per turn at resolution 1
-    circle = circle_samples(0.0, 1.0, n * per_arc, start_angle=math.atan2(base.imag, base.real))
+    circle = base * circle_samples(0.0, 1.0, n * per_arc)  # circle[0] == base
     nodes = circle[: n * per_arc : per_arc]
-    path = np.concatenate(
-        [segment_samples(base, nodes[0], 24 * resolution)[:-1], circle[: (n - 1) * per_arc + 1]]
-    )
-    tp = track(fp, path, fiber0=fiber0)
+    tp = track(fp, circle[: (n - 1) * per_arc + 1], fiber0=fiber0)
     tracked = tp.fibers[np.isin(tp.samples, nodes)]
 
     fibers = _paired_fibers(fp, nodes, tracked, "interpolation node z1")

@@ -147,10 +147,20 @@ class TestTraceSplit:
 
     def test_ambiguous_reading_is_inconclusive(self, monkeypatch):
         # with the split tolerance raised past every reading, a set of sheets
-        # that is no union reads between the tolerances on every base point
+        # that is no union reads between the tolerances on every base point,
+        # so the first reading raises: the ray and the sheared path, no retry
         monkeypatch.setattr(dec, "TOL_SPLIT", 1e3)
+        tracks = []
+        track = dec.track
+
+        def spy(fp, path, fiber0=None):
+            tracks.append(path.size)
+            return track(fp, path, fiber0=fiber0)
+
+        monkeypatch.setattr(dec, "track", spy)
         with pytest.raises(DecomposeError, match="trace test ambiguous"):
             decompose_curve(Z2**2 - Z1)
+        assert len(tracks) <= 2
         v = classify([Z2**2 - Z1], DomainSpec.ball(), with_certificate=False)
         assert v.overall == "INCONCLUSIVE"
         assert "trace test ambiguous" in v.justification
@@ -249,6 +259,7 @@ class TestUnitCircleFit:
     def test_fit_residual_is_reported(self, poly):
         for comp in decompose_curve(poly):
             assert comp.fit_residual <= 1e-12
+            assert abs(abs(comp.base_point) - 1.0) <= 1e-15  # the base point is on the circle
             assert json.loads(json.dumps(comp.to_json_dict()))["fit_residual"] == comp.fit_residual
 
     def test_vertical_lines_have_no_fit(self):
@@ -284,23 +295,30 @@ class TestUnitCircleFit:
     def test_one_open_path_per_primitive_factor(self, poly, paths, monkeypatch):
         # one fit path per primitive factor; a factor of two or more sheets
         # adds the ray that carries its base sheets to the first test line
-        # and the sheared trace path, the one path that starts cold
-        steps, cold = [], []
+        # and the sheared trace path, the one path that starts cold.  The
+        # fit path runs on |z1| = 1 alone, from the component's base point
+        paths_seen, cold = [], []
         track = dec.track
 
         def spy(fp, path, fiber0=None):
             assert abs(path[-1] - path[0]) > 1e-12
-            steps.append(np.abs(np.diff(path)).min())
+            paths_seen.append(path)
             cold.append(fiber0 is None)
             return track(fp, path, fiber0=fiber0)
 
         monkeypatch.setattr(dec, "track", spy)
-        decompose_curve(poly)
+        graphs = [c for c in decompose_curve(poly) if not c.vertical]
         sheets = [content_pp_z2(f)[1].deg2 for f, _ in squarefree(poly) if f.deg2]
         split = sum(m >= 2 for m in sheets)
         assert len(sheets) == paths
-        assert len(steps) == paths + 2 * split and sum(cold) == split
-        assert all(step > 0 for step in steps)
+        assert len(paths_seen) == paths + 2 * split and sum(cold) == split
+        assert all(np.abs(np.diff(path)).min() > 0 for path in paths_seen)
+        # a factor's fit path is its last: the one warm path no sheared path follows
+        fits = [p for p, c, then in zip(paths_seen, cold, cold[1:] + [False]) if not (c or then)]
+        bases = [c.base_point for k, c in enumerate(graphs) if k == 0 or c.parent != graphs[k - 1].parent]
+        assert [p[0] for p in fits] == bases
+        for path in fits:
+            assert np.abs(np.abs(path) - 1.0).max() <= 1e-15
 
 
 class TestZeroDimSolve:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import nullsatz.decompose as dec
 import nullsatz.nullsatz as ns
 from nullsatz.bergman import DomainSpec
 from nullsatz.decompose import IsolatedPoint, decompose_curve
@@ -506,10 +507,11 @@ def gauss(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
-# NEITHER line-times-conic products on Omega(1, 1) whose base points sit far
-# out (|c| ~ 80 on 503, ~ 280 on 68): cases r1.c2 of perfbench's curves seeds
-# 503 and 73 and r0.c2 of seed 68.  A conic fitted near the base point missed
-# its sheets in the unit disk by more than ONCOMP_TOL (INCONCLUSIVE).
+# NEITHER line-times-conic products on Omega(1, 1) whose branch points sit
+# far out (|b| up to ~ 37 on 503, ~ 128 on 68): cases r1.c2 of perfbench's curves
+# seeds 503 and 73 and r0.c2 of seed 68.  A conic once fitted near a base
+# point beyond them missed its sheets in the unit disk by more than
+# ONCOMP_TOL (INCONCLUSIVE).
 FAR_BASE_POINT = {
     "curves503.r1c2": Z2**3 + gauss("1/2", -1) * Z1 * Z2**2 + gauss("-1/2", "7/2") * Z2**2
     + gauss("1/2", 1) * Z1**2 * Z2 + gauss("3/4", 1) * Z1 * Z2
@@ -663,7 +665,7 @@ class TestClassify:
     @pytest.mark.parametrize("case", sorted(FAR_BASE_CASES))
     def test_far_base_point_curves_answer_neither(self, case):
         # a line times a conic on Omega(1, 1), NEITHER by construction: the
-        # components are fitted on |z1| = 1, however far the base point is
+        # components are fitted on |z1| = 1, however far the branch points are
         v = _far_base_verdict(case)
         assert v.overall == NEITHER
         assert len(v.results) == 2
@@ -686,6 +688,24 @@ class TestClassify:
                 scalar = np.vdot(D, G) / np.vdot(D, D)
                 errs.append(np.abs(scalar * D - G).max() / np.abs(G).max())
             assert min(errs) <= 1e-9
+
+    def test_far_branch_points_cost_few_bisections(self, monkeypatch):
+        # the base point lies on the fit circle whatever the branch points:
+        # no path runs in from beyond them (about 2,000 bisections when one did)
+        refinements = []
+
+        def spy(real):
+            def tracked(fp, path, fiber0=None):
+                tp = real(fp, path, fiber0=fiber0)
+                refinements.append(tp.refinements)
+                return tp
+            return tracked
+
+        monkeypatch.setattr(dec, "track", spy(dec.track))
+        monkeypatch.setattr(ns, "track", spy(ns.track))
+        for case in sorted(FAR_BASE_CASES):
+            assert classify([FAR_BASE_CASES[case]], OMEGA11, with_certificate=False).overall == NEITHER
+        assert refinements and sum(refinements) <= 100
 
     @pytest.mark.parametrize(
         "f",
